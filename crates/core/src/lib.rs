@@ -37,6 +37,7 @@ pub mod refresh;
 pub mod replica;
 pub mod report;
 pub mod runner;
+pub mod session;
 pub mod sim;
 pub mod trainer;
 
@@ -50,9 +51,6 @@ pub use pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
 pub use pool::BatchBuffers;
 pub use profile::{WorkloadConfig, WorkloadProfile};
 pub use refresh::{InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask};
-pub use replica::{
-    ReplicaEpochStats, ReplicatedConfig, ReplicatedEngine, ReplicatedEpochRun,
-    ReplicatedSessionReport,
-};
+pub use replica::{ReplicaEpochStats, ReplicatedConfig, ReplicatedEngine};
 pub use report::EpochReport;
 pub use trainer::TrainerState;

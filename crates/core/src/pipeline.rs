@@ -2,8 +2,8 @@
 //! real multi-threaded concurrency rather than a discrete-event simulation.
 //!
 //! The stage graph (sample → gather → transfer → train) runs as actual
-//! threads connected by bounded channels; since the persistent-engine
-//! refactor the machinery lives in [`crate::engine`] and
+//! threads connected by bounded channels; the machinery lives in the
+//! session driver ([`crate::session`]) and
 //! [`PipelineExecutor::run_epoch`] is a thin compatibility wrapper over a
 //! one-epoch [`crate::engine::TrainingEngine`] session. Multi-epoch callers
 //! should use the engine directly: it spawns the worker pool once per
@@ -22,13 +22,13 @@
 //! historical-embedding read observes a version gap `< 2n`, enforced hard
 //! by the bounded [`neutron_cache::EmbeddingStore`].
 
-use crate::engine::{transfer_stage, BusyNs, EngineConfig, TrainingEngine};
+use crate::engine::{EngineConfig, TrainingEngine};
 use crate::gather::{GatheredFeatures, StagedBatch};
 use crate::pool::BatchBuffers;
+use crate::session::{transfer_stage, BusyNs};
 use crate::trainer::{batch_sample_seed, ConvergenceTrainer, EpochObservation};
 use neutron_cache::FeatureCache;
 use neutron_tensor::alloc::{self, Stage};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Pipelined-executor configuration.
@@ -186,7 +186,7 @@ impl PipelineExecutor {
         let sample_busy = BusyNs::default();
         let gather_busy = BusyNs::default();
         let transfer_busy = BusyNs::default();
-        let h2d_bytes = AtomicU64::new(0);
+        let mut h2d_bytes = 0u64;
 
         // The cache-less baseline runs the *same* cache-keyed gather,
         // transfer costing and device-side assembly as the engine, against
@@ -219,7 +219,7 @@ impl PipelineExecutor {
             };
             alloc::set_stage(Stage::Transfer);
             let t2 = Instant::now();
-            transfer_stage(&self.config, &item, &h2d_bytes);
+            h2d_bytes += transfer_stage(&self.config, &item);
             transfer_busy.add(t2);
             alloc::set_stage(Stage::Train);
             item.into_prepared(&empty_cache)
@@ -240,7 +240,7 @@ impl PipelineExecutor {
             transfer_seconds: transfer_busy.seconds(),
             train_seconds: (epoch_seconds - staged).max(0.0),
             train_wait_seconds: staged,
-            h2d_bytes: h2d_bytes.load(Ordering::Relaxed),
+            h2d_bytes,
             reorder_peak: 0,
             cache_hits: 0,
             cache_misses: gathered_vertices,

@@ -20,9 +20,9 @@
 //! trajectory.
 //!
 //! [`RefreshBackend`] abstracts the execution site: the sequential trainer
-//! uses [`InlineRefresh`] (compute at submission, on the train thread); the
-//! persistent [`crate::engine::TrainingEngine`] ships tasks to a dedicated
-//! refresh worker and collects the rows at the next boundary.
+//! uses [`InlineRefresh`] (compute at submission, on the train thread); an
+//! engine session ([`crate::session`]) ships tasks to a dedicated refresh
+//! worker and collects the rows at the next boundary.
 
 use crate::trainer::ConvergenceTrainer;
 use neutron_graph::{Dataset, VertexId};

@@ -285,12 +285,6 @@ impl ConvergenceTrainer {
         self.batches.epoch_batches(epoch)
     }
 
-    /// [`Self::epoch_batches`] into a recycled buffer (see
-    /// [`BatchIterator::fill_epoch_batches`]).
-    pub fn fill_epoch_batches(&self, epoch: usize, out: &mut EpochBatches) {
-        self.batches.fill_epoch_batches(epoch, out);
-    }
-
     /// The gather stage: collects the raw feature rows of `src` — the one
     /// place the "Gather (FC)" work is implemented, shared by the
     /// sequential trainer, the pipelined executor's gather workers, and
@@ -386,78 +380,44 @@ impl ConvergenceTrainer {
 
     /// [`Self::train_batches_with`] handing each batch to `recycle` once it
     /// has trained — the hook the engine uses to dismantle spent batches
-    /// into the buffer pool. Runs strictly after the batch's optimizer step
-    /// and version bump, so recycling can never affect numerics.
+    /// into the buffer pool. Runs strictly after the batch's gradients are
+    /// computed, so recycling can never affect numerics. Each batch is a
+    /// one-replica step of [`Self::train_steps_replicated`].
     pub fn train_batches_recycling<I, R>(
         &mut self,
         prepared: I,
         backend: &mut dyn RefreshBackend,
-        mut recycle: R,
+        recycle: R,
     ) -> BatchLoopStats
     where
         I: IntoIterator<Item = PreparedBatch>,
         R: FnMut(PreparedBatch),
     {
-        let mut losses = Vec::new();
-        let super_n = match &self.config.policy {
-            ReusePolicy::HotnessAware { super_batch, .. } => *super_batch,
-            _ => usize::MAX,
-        };
-        let mut max_delta = 0.0f32;
-        let mut snapshot = (super_n != usize::MAX).then(|| self.model.snapshot());
-        for (bi, item) in prepared.into_iter().enumerate() {
-            assert_eq!(
-                item.index, bi,
-                "prepared batches must arrive in epoch order"
-            );
-            if super_n != usize::MAX && bi % super_n == 0 {
-                // Super-batch boundary: measure how far the weights moved
-                // during the last super-batch, publish the refresh computed
-                // from the previous boundary's snapshot, and launch the next.
-                if let Some(snap) = &snapshot {
-                    max_delta = max_delta.max(self.model.max_weight_delta(snap));
-                    snapshot = Some(self.model.snapshot());
-                }
-                self.refresh_boundary(backend);
-            }
-            losses.push(self.train_prepared(&item.blocks, &item.features));
-            self.version += 1;
-            recycle(item);
-        }
-        if let Some(snap) = &snapshot {
-            max_delta = max_delta.max(self.model.max_weight_delta(snap));
-        }
-        let staleness_epsilon = if super_n == usize::MAX {
-            0.0
-        } else {
-            max_delta * 2.0 * super_n as f32
-        };
-        BatchLoopStats {
-            losses,
-            staleness_epsilon,
-        }
+        let steps = prepared.into_iter().map(std::iter::once);
+        self.train_steps_replicated(steps, backend, recycle)
     }
 
-    /// The data-parallel analogue of [`Self::train_batches_recycling`]:
-    /// every item of `steps` carries one prepared batch **per replica**, in
-    /// fixed replica order. Each replica's gradients are computed at the
-    /// same parameter version ([`Self::grad_prepared`]), tree-averaged
-    /// ([`neutron_nn::tree_average`] — order-independent by construction),
-    /// and applied in one shared optimizer step; the super-batch refresh
-    /// boundary fires on *step* index exactly as the single-replica loop
-    /// fires on batch index. A one-replica step takes the plain
-    /// [`Self::train_prepared`] path (no clone, no averaging), so R=1 is
-    /// bit-identical to [`Self::train_batches_recycling`] by construction.
-    /// The recorded per-step loss is the replica mean (the loss of the
-    /// averaged gradient's mini-batch union).
-    pub fn train_steps_replicated<I, R>(
+    /// The one batch loop. Every item of `steps` carries one prepared batch
+    /// **per replica**, in fixed replica order, all with the step's index.
+    /// A one-replica step is the plain `train_prepared` update (no
+    /// clone, no averaging). A multi-replica step computes each replica's
+    /// gradients at the same parameter version ([`Self::grad_prepared`]),
+    /// tree-averages them ([`neutron_nn::tree_average`] —
+    /// order-independent by construction) and applies one shared optimizer
+    /// step; its recorded loss is the replica mean (the loss of the
+    /// averaged gradient's mini-batch union). The super-batch refresh
+    /// boundary fires on step index (see [`Self::train_batches_with`]) and
+    /// the §4.3 weight-variation monitor spans the whole loop.
+    pub fn train_steps_replicated<I, S, R>(
         &mut self,
         steps: I,
         backend: &mut dyn RefreshBackend,
         mut recycle: R,
     ) -> BatchLoopStats
     where
-        I: IntoIterator<Item = Vec<PreparedBatch>>,
+        I: IntoIterator<Item = S>,
+        S: IntoIterator<Item = PreparedBatch>,
+        S::IntoIter: ExactSizeIterator,
         R: FnMut(PreparedBatch),
     {
         let mut losses = Vec::new();
@@ -468,36 +428,38 @@ impl ConvergenceTrainer {
         let mut max_delta = 0.0f32;
         let mut snapshot = (super_n != usize::MAX).then(|| self.model.snapshot());
         for (si, step) in steps.into_iter().enumerate() {
-            assert!(!step.is_empty(), "a step needs at least one replica batch");
+            let step = step.into_iter();
+            let replicas = step.len();
+            assert!(replicas > 0, "a step needs at least one replica batch");
             if super_n != usize::MAX && si % super_n == 0 {
+                // Super-batch boundary: measure how far the weights moved
+                // during the last super-batch, publish the refresh computed
+                // from the previous boundary's snapshot, and launch the next.
                 if let Some(snap) = &snapshot {
                     max_delta = max_delta.max(self.model.max_weight_delta(snap));
                     snapshot = Some(self.model.snapshot());
                 }
                 self.refresh_boundary(backend);
             }
-            if step.len() == 1 {
-                let item = step.into_iter().next().unwrap();
-                assert_eq!(item.index, si, "replica batches must arrive in step order");
-                losses.push(self.train_prepared(&item.blocks, &item.features));
-                self.version += 1;
-                recycle(item);
-            } else {
-                let replicas = step.len();
-                let mut groups = Vec::with_capacity(replicas);
-                let mut loss_sum = 0.0f32;
-                for item in &step {
-                    assert_eq!(item.index, si, "replica batches must arrive in step order");
+            let mut groups = Vec::new();
+            let mut loss_sum = 0.0f32;
+            for item in step {
+                assert_eq!(item.index, si, "batches must arrive in step order");
+                if replicas == 1 {
+                    loss_sum = self.train_prepared(&item.blocks, &item.features);
+                } else {
                     loss_sum += self.grad_prepared(&item.blocks, &item.features);
-                    groups.push(self.clone_grads());
+                    // This replica's contribution to the all-reduce.
+                    groups.push(self.model.params().iter().map(|p| p.grad.clone()).collect());
                 }
-                self.apply_averaged_grads(neutron_nn::tree_average(groups));
-                self.version += 1;
-                losses.push(loss_sum / replicas as f32);
-                for item in step {
-                    recycle(item);
-                }
+                recycle(item);
             }
+            if replicas > 1 {
+                self.apply_averaged_grads(neutron_nn::tree_average(groups));
+                loss_sum /= replicas as f32;
+            }
+            losses.push(loss_sum);
+            self.version += 1;
         }
         if let Some(snap) = &snapshot {
             max_delta = max_delta.max(self.model.max_weight_delta(snap));
@@ -594,15 +556,10 @@ impl ConvergenceTrainer {
         lr.loss
     }
 
-    /// Clones the gradients currently accumulated on the model — one
-    /// replica's contribution to a data-parallel all-reduce.
-    pub fn clone_grads(&self) -> neutron_nn::GradSet {
-        self.model.params().iter().map(|p| p.grad.clone()).collect()
-    }
-
     /// Installs externally averaged gradients and applies one shared
-    /// optimizer step (no version bump — the caller owns step accounting
-    /// via [`Self::end_step`]).
+    /// optimizer step. Bumps no version: the parameter version counts
+    /// steps, and [`Self::train_steps_replicated`] advances it once per
+    /// step.
     pub fn apply_averaged_grads(&mut self, grads: neutron_nn::GradSet) {
         let mut params = self.model.params_mut();
         assert_eq!(params.len(), grads.len(), "gradient set shape mismatch");

@@ -10,8 +10,9 @@
 use neutron_core::engine::{EngineConfig, SessionError, TrainingEngine};
 use neutron_core::fault::{FailureEvent, FailurePolicy, FaultPlan};
 use neutron_core::pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
-use neutron_core::replica::{ReplicatedConfig, ReplicatedEngine, ReplicatedSessionReport};
+use neutron_core::replica::{ReplicatedConfig, ReplicatedEngine};
 use neutron_core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutron_core::SessionReport;
 use neutron_graph::DatasetSpec;
 use neutron_nn::LayerKind;
 use neutron_tensor::{alloc, timing};
@@ -82,7 +83,7 @@ fn scaled_trainer(spec: &DatasetSpec) -> ConvergenceTrainer {
 /// session with its per-replica breakdown.
 struct RunOutput {
     reports: Vec<PipelineReport>,
-    replicated: Option<ReplicatedSessionReport>,
+    replicated: Option<SessionReport>,
 }
 
 /// Runs the workload inline and returns the per-epoch stage reports it

@@ -136,10 +136,12 @@ fn main() {
         hot_obs.max_staleness,
         super_batch,
     );
-    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
-    println!("wrote BENCH_pipeline.json");
+    // Assert before writing: a failing run must never leave its numbers
+    // behind as the recorded baseline.
     assert!(
         speedup >= 1.3,
         "pipelined executor must demonstrate ≥ 1.3x epoch throughput (got {speedup:.2}x)"
     );
+    std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
+    println!("wrote BENCH_pipeline.json");
 }

@@ -7,10 +7,15 @@
 use neutronorch::core::engine::{EngineConfig, TrainingEngine};
 use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
 use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
-use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutronorch::core::trainer::{
+    batch_sample_seed, ConvergenceTrainer, PreparedBatch, ReusePolicy, TrainerConfig,
+};
+use neutronorch::core::{BatchBuffers, InlineRefresh};
+use neutronorch::graph::partition::hash_partition;
 use neutronorch::graph::DatasetSpec;
 use neutronorch::hetero::InterconnectSpec;
 use neutronorch::nn::LayerKind;
+use neutronorch::sample::{BatchIterator, BlockBuilder, LocalityCounts};
 use proptest::prelude::*;
 
 fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
@@ -416,6 +421,127 @@ fn replicated_sessions_are_deterministic_at_r2_and_r4() {
         assert_eq!(a.remote_bytes_trajectory(), slow.remote_bytes_trajectory());
         for (fast, eth) in a.epochs.iter().zip(&slow.epochs) {
             assert!(eth.interconnect_seconds > fast.interconnect_seconds);
+        }
+    }
+}
+
+/// Per-epoch `(loss bits, max staleness)` of a sequential replay of an
+/// R-replica session, built only from the documented batching: replica `r`
+/// owns the training vertices its hash partition assigns it (in
+/// `dataset.train` order) and shuffles them with the config seed; it samples
+/// step `i` of epoch `e` with `batch_sample_seed(seed ^ r·0x9e3779b97f4a7c15,
+/// e, i)` (partition-biased when locality-aware); every epoch runs as many
+/// steps as the shortest replica; refreshes run inline on this thread.
+fn sequential_replicated_replay(
+    trainer: &mut ConvergenceTrainer,
+    replicas: usize,
+    locality_aware: bool,
+    epochs: usize,
+) -> Vec<(u32, u64)> {
+    let dataset = trainer.dataset_handle();
+    let sampler = trainer.sampler().clone();
+    let (seed, batch_size) = (trainer.config().seed, trainer.config().batch_size);
+    let partition = hash_partition(dataset.csr.num_vertices(), replicas);
+    let lanes: Vec<BatchIterator> = (0..replicas)
+        .map(|r| {
+            let owned = dataset.train.iter().copied();
+            let owned = owned.filter(|&v| partition.owner(v) == r).collect();
+            BatchIterator::new(owned, batch_size, seed)
+        })
+        .collect();
+    let mut builder = BlockBuilder::new();
+    (0..epochs)
+        .map(|epoch| {
+            let batches: Vec<_> = lanes.iter().map(|it| it.epoch_batches(epoch)).collect();
+            let steps = batches.iter().map(|b| b.len()).min().unwrap();
+            let step = |i: usize, builder: &mut BlockBuilder| -> Vec<PreparedBatch> {
+                (0..replicas)
+                    .map(|r| {
+                        let replica_seed = seed ^ (r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                        let s = batch_sample_seed(replica_seed, epoch, i);
+                        let ids = batches[r].batch(i);
+                        let blocks = if locality_aware {
+                            let owner = &partition.assignment;
+                            let picks = &mut LocalityCounts::default();
+                            sampler.sample_batch_pooled_biased(
+                                &dataset.csr,
+                                ids,
+                                s,
+                                builder,
+                                owner,
+                                r as u32,
+                                picks,
+                            )
+                        } else {
+                            sampler.sample_batch(&dataset.csr, ids, s)
+                        };
+                        let features =
+                            ConvergenceTrainer::gather_features(&dataset, blocks[0].src());
+                        PreparedBatch {
+                            index: i,
+                            blocks,
+                            features,
+                            scrap: BatchBuffers::new(),
+                        }
+                    })
+                    .collect()
+            };
+            let feed = (0..steps).map(|i| step(i, &mut builder));
+            let stats = trainer.train_steps_replicated(feed, &mut InlineRefresh::default(), |_| {});
+            let obs = trainer.observe_epoch(stats);
+            (obs.train_loss.to_bits(), obs.max_staleness)
+        })
+        .collect()
+}
+
+/// The numerics of an R > 1 session are exactly a sequential
+/// `train_steps_replicated` replay of the documented per-replica batching:
+/// per-epoch losses are bit-equal at R ∈ {2, 4}, with and without locality
+/// bias, while the session's refresh runs on its background worker — and
+/// the staleness bound holds on both sides.
+#[test]
+fn replicated_sessions_equal_a_sequential_replay_at_r2_and_r4() {
+    let n = 2;
+    let policy = || ReusePolicy::HotnessAware {
+        hot_ratio: 0.3,
+        super_batch: n,
+    };
+    let epochs = 3;
+    for replicas in [2usize, 4] {
+        for locality_aware in [true, false] {
+            let mut seq = trainer(policy());
+            let want = sequential_replicated_replay(&mut seq, replicas, locality_aware, epochs);
+            let mut t = trainer(policy());
+            let cfg = ReplicatedConfig {
+                replicas,
+                locality_aware,
+                ..ReplicatedConfig::default()
+            };
+            let session = ReplicatedEngine::new(cfg).run_session(&mut t, 0, epochs);
+            let got: Vec<(u32, u64)> = session
+                .epochs
+                .iter()
+                .map(|r| {
+                    (
+                        r.observation.train_loss.to_bits(),
+                        r.observation.max_staleness,
+                    )
+                })
+                .collect();
+            assert_eq!(got, want, "R={replicas} locality={locality_aware}");
+            for (loss_bits, gap) in got {
+                assert!(f32::from_bits(loss_bits).is_finite());
+                assert!(gap < 2 * n as u64, "R={replicas}: gap {gap} ≥ 2n");
+            }
+            assert!(
+                session
+                    .epochs
+                    .iter()
+                    .map(|e| e.refresh_seconds)
+                    .sum::<f64>()
+                    > 0.0,
+                "R={replicas}: the refresh worker carried the refreshes"
+            );
         }
     }
 }

@@ -11,6 +11,7 @@ use neutronorch::core::fault::{FailureAction, FailurePolicy, FaultPlan};
 use neutronorch::core::pipeline::PipelineConfig;
 use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutronorch::core::InlineRefresh;
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
 use std::path::PathBuf;
@@ -71,7 +72,7 @@ fn losses_of(runs: &[f32]) -> Vec<u32> {
     runs.iter().map(|l| l.to_bits()).collect()
 }
 
-fn engine_losses(session: &neutronorch::core::engine::SessionReport) -> Vec<u32> {
+fn session_losses(session: &neutronorch::core::engine::SessionReport) -> Vec<u32> {
     losses_of(
         &session
             .epochs
@@ -81,14 +82,16 @@ fn engine_losses(session: &neutronorch::core::engine::SessionReport) -> Vec<u32>
     )
 }
 
-fn replicated_losses(session: &neutronorch::core::replica::ReplicatedSessionReport) -> Vec<u32> {
-    losses_of(
-        &session
-            .epochs
-            .iter()
-            .map(|r| r.observation.train_loss)
-            .collect::<Vec<_>>(),
-    )
+/// Byte image of a trainer's full mutable state (raw float bits included).
+fn state_bytes(t: &mut ConvergenceTrainer) -> Vec<u8> {
+    let state = t.capture_state(&mut InlineRefresh::default());
+    let ck = checkpoint::Checkpoint {
+        next_epoch: 0,
+        replicas: 0,
+        rng_seeds: Vec::new(),
+        state,
+    };
+    checkpoint::checkpoint_to_bytes(0, &ck)
 }
 
 fn ck_path(tag: &str) -> PathBuf {
@@ -134,7 +137,7 @@ fn engine_sampler_crash_is_absorbed_bit_identically() {
     let session = engine(2, "crash@r1e1s0")
         .run_session_checked(&mut t, 0, 3)
         .expect("crash must be absorbed");
-    assert_eq!(engine_losses(&session), engine_losses(&reference));
+    assert_eq!(session_losses(&session), session_losses(&reference));
     let events: Vec<_> = session
         .epochs
         .iter()
@@ -176,7 +179,7 @@ fn engine_straggler_completes_bit_identically() {
     let session = engine(1, "straggler@r0e1s0")
         .run_session_checked(&mut t, 0, 3)
         .expect("straggler must complete");
-    assert_eq!(engine_losses(&session), engine_losses(&reference));
+    assert_eq!(session_losses(&session), session_losses(&reference));
     let events: Vec<_> = session
         .epochs
         .iter()
@@ -255,7 +258,7 @@ fn replicated_crash_with_drop_policy_degrades_and_completes() {
             .collect();
         assert_eq!(drops.len(), 1, "exactly one replica is dropped");
         assert_eq!(drops[0].replica, 1);
-        replicated_losses(&session)
+        session_losses(&session)
     };
     assert_eq!(run(), run(), "degraded trajectory must be deterministic");
 }
@@ -289,7 +292,11 @@ fn replicated_panic_with_restore_policy_matches_the_fault_free_run() {
     std::fs::remove_file(&path).ok();
 
     assert_eq!(session.epochs.len(), 4);
-    assert_eq!(replicated_losses(&session), replicated_losses(&reference));
+    assert_eq!(session_losses(&session), session_losses(&reference));
+    // The rollback leaves nothing stale behind: the restored trainer ends
+    // in the fault-free trainer's exact state, down to the refresh still
+    // pending at the last boundary.
+    assert_eq!(state_bytes(&mut t), state_bytes(&mut clean));
     let restores: Vec<_> = session
         .epochs
         .iter()
@@ -336,7 +343,7 @@ fn replicated_straggler_completes_bit_identically() {
     let session = replicated(2, "straggler@r1e1s0", FailurePolicy::Fail)
         .run_session_checked(&mut t, 0, 3)
         .expect("straggler must complete");
-    assert_eq!(replicated_losses(&session), replicated_losses(&reference));
+    assert_eq!(session_losses(&session), session_losses(&reference));
     let events: Vec<_> = session
         .epochs
         .iter()
@@ -353,22 +360,31 @@ fn replicated_straggler_completes_bit_identically() {
 #[test]
 fn session_remains_functional_after_a_restore() {
     let path = ck_path("post-restore");
-    let mut t = trainer();
-    let digest = checkpoint::config_digest(t.config(), 2);
-    let session = ReplicatedEngine::new(ReplicatedConfig {
+    let config = |faults: &str| ReplicatedConfig {
         replicas: 2,
-        fault_plan: plan("panic@r0e1s0"),
+        fault_plan: plan(faults),
         stall_timeout: Duration::from_millis(300),
         on_replica_failure: FailurePolicy::Restore,
         checkpoint_every: 1,
         checkpoint_path: Some(path.clone()),
         ..ReplicatedConfig::default()
-    })
-    .run_session_checked(&mut t, 0, 3)
-    .expect("restore policy must recover");
+    };
+    let fault_free = ReplicatedEngine::new(config(""))
+        .run_session_checked(&mut trainer(), 0, 3)
+        .expect("fault-free session");
+    let mut t = trainer();
+    let digest = checkpoint::config_digest(t.config(), 2);
+    let session = ReplicatedEngine::new(config("panic@r0e1s0"))
+        .run_session_checked(&mut t, 0, 3)
+        .expect("restore policy must recover");
     assert_eq!(session.epochs.len(), 3);
-    // More workers than the initial pair were spawned: the replacement.
-    assert!(session.workers_spawned > 2, "replacement worker spawned");
+    // Exactly one worker more than the same session without the fault
+    // spawned: the replacement.
+    assert_eq!(
+        session.workers_spawned,
+        fault_free.workers_spawned + 1,
+        "one replacement worker spawned"
+    );
     // The final checkpoint on disk is the last epoch's boundary.
     let ck = checkpoint::load(&path, digest).expect("final checkpoint");
     assert_eq!(ck.next_epoch, 3);
