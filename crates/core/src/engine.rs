@@ -23,8 +23,7 @@ pub use crate::session::{EpochRun, SessionError, SessionReport};
 /// Engine configuration: the stage-graph shape plus the adaptive-split loop.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Stage thread counts, channel depth and simulated link (shared with
-    /// the single-epoch executor).
+    /// Stage thread counts, channel depth and simulated link.
     pub pipeline: PipelineConfig,
     /// Re-plan the hybrid hot-set split from measured train occupancy
     /// between epochs (§4.1.3 closed at runtime). When `false` the split
@@ -33,26 +32,11 @@ pub struct EngineConfig {
     pub adaptive_split: bool,
     /// Device memory the hybrid planner may spend on cached hot features.
     pub gpu_free_bytes: u64,
-    /// EWMA weight of the newest occupancy measurement in the adaptive
-    /// feedback signal: `s ← α·measured + (1−α)·s_prev`. `1.0` disables
-    /// smoothing; smaller values damp per-epoch timer noise.
-    pub occupancy_ewma_alpha: f64,
-    /// Dead band of the split controller: a newly planned CPU fraction only
-    /// replaces the installed one — and rebuilds the GPU feature cache —
-    /// when it differs from it by more than this. The first plan of a
-    /// session always installs.
-    pub split_hysteresis: f64,
     /// Threads the refresh worker spreads each task's vertex list over
     /// (via [`crate::refresh::RefreshTask::run_sharded`] — partition-stable, so any value
     /// is bit-identical). `0` means auto: one shard per available core.
     /// `1` keeps the pre-sharding serial behaviour.
     pub refresh_workers: usize,
-    /// Capacity of the train→sample buffer return channel: how many spent
-    /// [`crate::pool::BatchBuffers`] bundles the session keeps circulating.
-    /// `0` means auto — enough for every bundle that can be in flight at
-    /// once. Any value is bit-identical: a drained pool just means the
-    /// sampler allocates fresh.
-    pub pool_batches: usize,
     /// Write a checkpoint after every epoch whose (absolute) number + 1 is
     /// a multiple of this. `0` disables checkpointing. The cadence keys on
     /// the absolute epoch, so a restored session checkpoints at the same
@@ -81,23 +65,6 @@ impl EngineConfig {
             n => n,
         }
     }
-
-    /// Resolves [`Self::pool_batches`]'s auto (`0`) setting. The auto size
-    /// must cover the session's maximum in-flight bundle count — if the
-    /// pool can overflow during the end-of-epoch drain, `try_send` drops a
-    /// warmed-up bundle and the next epoch re-grows a fresh one from zero,
-    /// leaving steady-state allocation churn that never converges.
-    pub fn effective_pool_batches(&self) -> usize {
-        match self.pool_batches {
-            0 => {
-                3 * self.pipeline.channel_depth
-                    + self.pipeline.sampler_threads
-                    + self.pipeline.gather_threads
-                    + 10
-            }
-            n => n,
-        }
-    }
 }
 
 impl Default for EngineConfig {
@@ -106,10 +73,7 @@ impl Default for EngineConfig {
             pipeline: PipelineConfig::default(),
             adaptive_split: true,
             gpu_free_bytes: 64 << 20,
-            occupancy_ewma_alpha: 0.4,
-            split_hysteresis: 0.05,
             refresh_workers: 0,
-            pool_batches: 0,
             checkpoint_every: 0,
             checkpoint_path: None,
             fault_plan: None,
@@ -144,8 +108,8 @@ impl TrainingEngine {
 
     /// Runs `num_epochs` epochs starting at `first_epoch` over one
     /// persistent worker pool. Numerically identical to calling
-    /// `trainer.train_epoch(e)` (or the sequential executor) for the same
-    /// epochs, at any thread count and any hybrid split — concurrency and
+    /// `trainer.train_epoch(e)` (or [`crate::pipeline::run_serial_epoch`])
+    /// for the same epochs, at any thread count and any hybrid split — concurrency and
     /// the adaptive planner change wall-clock and placement, never results.
     ///
     /// Panics on session failure; use [`Self::run_session_checked`] to get
@@ -181,13 +145,10 @@ impl TrainingEngine {
             planner: if c.adaptive_split {
                 Planner::Adaptive {
                     gpu_free_bytes: c.gpu_free_bytes,
-                    alpha: c.occupancy_ewma_alpha,
-                    hysteresis: c.split_hysteresis,
                 }
             } else {
                 Planner::Fixed
             },
-            pool_batches: c.effective_pool_batches(),
             refresh_shards: c.effective_refresh_workers(),
             checkpoint_every: c.checkpoint_every,
             checkpoint_path: c.checkpoint_path.as_deref(),

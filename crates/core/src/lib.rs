@@ -47,7 +47,7 @@ pub use fault::{FailureAction, FailureEvent, FailurePolicy, FaultKind, FaultPlan
 pub use gather::{GatheredFeatures, StagedBatch};
 pub use neutronorch::{NeutronOrch, NeutronOrchConfig};
 pub use orchestrator::Orchestrator;
-pub use pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
+pub use pipeline::{PipelineConfig, PipelineReport};
 pub use pool::BatchBuffers;
 pub use profile::{WorkloadConfig, WorkloadProfile};
 pub use refresh::{InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask};

@@ -1,20 +1,18 @@
-//! The pipelined executor: NeutronOrch's super-batch pipeline (Fig 8) as
-//! real multi-threaded concurrency rather than a discrete-event simulation.
+//! The stage shape, the measured stage report, and the serial epoch.
 //!
-//! The stage graph (sample → gather → transfer → train) runs as actual
-//! threads connected by bounded channels; the machinery lives in the
-//! session driver ([`crate::session`]) and
-//! [`PipelineExecutor::run_epoch`] is a thin compatibility wrapper over a
-//! one-epoch [`crate::engine::TrainingEngine`] session. Multi-epoch callers
-//! should use the engine directly: it spawns the worker pool once per
-//! session instead of once per epoch and closes the §4.1.3 occupancy
-//! feedback loop between epochs.
+//! NeutronOrch's super-batch pipeline (Fig 8) runs as real threads — sample
+//! → gather → transfer → train over bounded channels — in the session
+//! driver ([`crate::session`]); one concurrent epoch is
+//! `TrainingEngine::run_session(trainer, epoch, 1)`. [`run_serial_epoch`]
+//! is its "w/o pipelining" ablation (Fig 14): the same per-batch stage
+//! costing, executed on the calling thread. It is also the sequential
+//! trainer's epoch ([`ConvergenceTrainer::train_epoch`]).
 //!
 //! Determinism: block sampling is seeded by `(config seed, epoch, batch
 //! index)` ([`crate::trainer::batch_sample_seed`]) and the train stage
-//! consumes batches in epoch order, so the loss trajectory is **bit-identical
-//! to the sequential trainer for any thread count** — concurrency changes
-//! wall-clock, never results.
+//! consumes batches in epoch order, so the loss trajectory of a pipelined
+//! epoch is **bit-identical to the serial one for any thread count** —
+//! concurrency changes wall-clock, never results.
 //!
 //! Staleness: the super-batch boundary runs on the train thread between
 //! batches, publishing the refresh prepared during the *previous*
@@ -22,16 +20,15 @@
 //! historical-embedding read observes a version gap `< 2n`, enforced hard
 //! by the bounded [`neutron_cache::EmbeddingStore`].
 
-use crate::engine::{EngineConfig, TrainingEngine};
-use crate::gather::{GatheredFeatures, StagedBatch};
-use crate::pool::BatchBuffers;
+use crate::gather::StagedBatch;
+use crate::refresh::InlineRefresh;
 use crate::session::{transfer_stage, BusyNs};
 use crate::trainer::{batch_sample_seed, ConvergenceTrainer, EpochObservation};
 use neutron_cache::FeatureCache;
 use neutron_tensor::alloc::{self, Stage};
 use std::time::Instant;
 
-/// Pipelined-executor configuration.
+/// The staging shape of a pipelined session.
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// CPU sampling worker threads (stage 1).
@@ -114,229 +111,65 @@ impl PipelineReport {
     }
 }
 
-/// The single-epoch pipelined executor — a compatibility facade over the
-/// persistent [`TrainingEngine`] (see module docs).
-pub struct PipelineExecutor {
-    config: PipelineConfig,
-}
+/// The unpipelined epoch: every batch is sampled, staged against an empty
+/// feature cache ([`StagedBatch::stage`]), charged by the transfer stage
+/// (stalling for the simulated link when `h2d_gibps > 0`) and trained, all
+/// serially on the calling thread — the paper's "w/o pipelining" ablation
+/// (Fig 14), with the same per-batch work as a pipelined epoch. The report
+/// times the stage graph only; test-set evaluation is outside the window.
+/// Per-stage alloc tags give the allocating baseline the pooled engine is
+/// compared against.
+pub fn run_serial_epoch(
+    trainer: &mut ConvergenceTrainer,
+    epoch: usize,
+    h2d_gibps: f64,
+) -> (EpochObservation, PipelineReport) {
+    let dataset = trainer.dataset_handle();
+    let sampler = trainer.sampler().clone();
+    let config_seed = trainer.config().seed;
+    let batches = trainer.epoch_batches(epoch);
+    let [sample_busy, gather_busy, transfer_busy] = <[BusyNs; 3]>::default();
+    let (mut h2d_bytes, mut gathered_vertices) = (0u64, 0u64);
+    let empty_cache = FeatureCache::empty();
+    let wall = Instant::now();
+    let items = batches.iter().enumerate().map(|(i, batch)| {
+        alloc::set_stage(Stage::Sample);
+        let t0 = Instant::now();
+        let seed = batch_sample_seed(config_seed, epoch, i);
+        let blocks = sampler.sample_batch(&dataset.csr, batch, seed);
+        sample_busy.add(t0);
+        alloc::set_stage(Stage::Gather);
+        let t1 = Instant::now();
+        let item = StagedBatch::stage(&dataset, i, blocks, &empty_cache);
+        gather_busy.add(t1);
+        gathered_vertices += item.features.num_misses() as u64;
+        alloc::set_stage(Stage::Transfer);
+        let t2 = Instant::now();
+        h2d_bytes += transfer_stage(h2d_gibps, &item);
+        transfer_busy.add(t2);
+        alloc::set_stage(Stage::Train);
+        item.into_prepared(&empty_cache)
+    });
+    let prev_stage = alloc::set_stage(Stage::Train);
+    let stats = trainer.train_batches_with(items, &mut InlineRefresh::default());
+    alloc::set_stage(prev_stage);
 
-impl PipelineExecutor {
-    /// Builds an executor; thread counts must be positive.
-    pub fn new(config: PipelineConfig) -> Self {
-        assert!(
-            config.sampler_threads > 0,
-            "need at least one sampler thread"
-        );
-        assert!(config.gather_threads > 0, "need at least one gather thread");
-        Self { config }
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.config
-    }
-
-    /// Runs one epoch through the concurrent stage graph. Numerically
-    /// identical to `trainer.train_epoch(epoch)` (see module docs).
-    ///
-    /// Compatibility wrapper: spawns a one-epoch engine session, paying
-    /// thread startup per call. Loops over epochs should use
-    /// [`TrainingEngine::run_session`] instead.
-    pub fn run_epoch(
-        &self,
-        trainer: &mut ConvergenceTrainer,
-        epoch: usize,
-    ) -> (EpochObservation, PipelineReport) {
-        let engine = TrainingEngine::new(EngineConfig {
-            pipeline: self.config.clone(),
-            adaptive_split: false,
-            gpu_free_bytes: 0,
-            ..EngineConfig::default()
-        });
-        // Time the whole one-epoch session minus test-set evaluation: this
-        // compat path pays worker spawn/join *per epoch*, and that overhead
-        // is exactly what distinguishes it from a persistent session —
-        // hiding it would make the respawn-vs-engine comparison
-        // meaningless. Evaluation stays out of the timed region, as always.
-        let wall = Instant::now();
-        let mut session = engine.run_session(trainer, epoch, 1);
-        let mut run = session.epochs.pop().expect("session ran one epoch");
-        let epoch_seconds = (wall.elapsed().as_secs_f64() - run.eval_seconds).max(0.0);
-        run.report.epoch_seconds = epoch_seconds;
-        run.report.train_seconds = (epoch_seconds - run.report.train_wait_seconds).max(0.0);
-        (run.observation, run.report)
-    }
-
-    /// The unpipelined baseline: the *same* stage costing (including the
-    /// simulated transfer stall) executed serially on the calling thread —
-    /// the paper's "w/o pipelining" ablation (Fig 14). Comparing
-    /// [`Self::run_epoch`] against this isolates the benefit of overlap,
-    /// with identical per-batch work on both sides.
-    pub fn run_epoch_sequential(
-        &self,
-        trainer: &mut ConvergenceTrainer,
-        epoch: usize,
-    ) -> (EpochObservation, PipelineReport) {
-        let dataset = trainer.dataset_handle();
-        let sampler = trainer.sampler().clone();
-        let config_seed = trainer.config().seed;
-        let batches = trainer.epoch_batches(epoch);
-        let total = batches.len();
-
-        let sample_busy = BusyNs::default();
-        let gather_busy = BusyNs::default();
-        let transfer_busy = BusyNs::default();
-        let mut h2d_bytes = 0u64;
-
-        // The cache-less baseline runs the *same* cache-keyed gather,
-        // transfer costing and device-side assembly as the engine, against
-        // an empty cache (all-miss). One shared path means the accounting
-        // can never drift between executors. Per-stage alloc tags give the
-        // honest allocating "before" numbers the pooled engine is compared
-        // against in `BENCH_engine.json`.
-        let empty_cache = FeatureCache::empty();
-        let mut gathered_vertices = 0u64;
-        let wall = Instant::now();
-        let items = batches.iter().enumerate().map(|(i, batch)| {
-            alloc::set_stage(Stage::Sample);
-            let t0 = Instant::now();
-            let blocks = sampler.sample_batch(
-                &dataset.csr,
-                batch,
-                batch_sample_seed(config_seed, epoch, i),
-            );
-            sample_busy.add(t0);
-            alloc::set_stage(Stage::Gather);
-            let t1 = Instant::now();
-            let features = GatheredFeatures::gather(&dataset, &blocks[0], &empty_cache);
-            gather_busy.add(t1);
-            gathered_vertices += features.num_misses() as u64;
-            let item = StagedBatch {
-                index: i,
-                blocks,
-                features,
-                bufs: BatchBuffers::new(),
-            };
-            alloc::set_stage(Stage::Transfer);
-            let t2 = Instant::now();
-            h2d_bytes += transfer_stage(&self.config, &item);
-            transfer_busy.add(t2);
-            alloc::set_stage(Stage::Train);
-            item.into_prepared(&empty_cache)
-        });
-        let prev_stage = alloc::set_stage(Stage::Train);
-        let stats = trainer.train_batches(items);
-        alloc::set_stage(prev_stage);
-
-        // Same timed region as `run_epoch`: stage graph only, no eval.
-        let epoch_seconds = wall.elapsed().as_secs_f64();
-        let observation = trainer.observe_epoch(stats);
-        let staged = sample_busy.seconds() + gather_busy.seconds() + transfer_busy.seconds();
-        let report = PipelineReport {
-            epoch_seconds,
-            num_batches: total,
-            sample_seconds: sample_busy.seconds(),
-            gather_collect_seconds: gather_busy.seconds(),
-            transfer_seconds: transfer_busy.seconds(),
-            train_seconds: (epoch_seconds - staged).max(0.0),
-            train_wait_seconds: staged,
-            h2d_bytes,
-            reorder_peak: 0,
-            cache_hits: 0,
-            cache_misses: gathered_vertices,
-            failures: Vec::new(),
-        };
-        (observation, report)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::trainer::{ReusePolicy, TrainerConfig};
-    use neutron_graph::DatasetSpec;
-    use neutron_nn::LayerKind;
-
-    fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {
-        let ds = DatasetSpec::tiny().build_full();
-        let mut cfg = TrainerConfig::convergence_default(LayerKind::Gcn, policy);
-        cfg.batch_size = 64;
-        cfg.lr = 0.5;
-        ConvergenceTrainer::new(ds, cfg)
-    }
-
-    #[test]
-    fn pipelined_epoch_matches_sequential_exactly() {
-        let mut seq = trainer(ReusePolicy::Exact);
-        let mut pip = trainer(ReusePolicy::Exact);
-        let exec = PipelineExecutor::new(PipelineConfig {
-            sampler_threads: 3,
-            gather_threads: 2,
-            channel_depth: 2,
-            h2d_gibps: 0.0,
-        });
-        for epoch in 0..3 {
-            let a = seq.train_epoch(epoch);
-            let (b, report) = exec.run_epoch(&mut pip, epoch);
-            assert_eq!(a.train_loss, b.train_loss, "epoch {epoch} loss diverged");
-            assert_eq!(a.test_accuracy, b.test_accuracy);
-            assert_eq!(report.num_batches, 4);
-            assert!(report.sample_seconds > 0.0);
-        }
-    }
-
-    #[test]
-    fn pipelined_hotness_aware_keeps_staleness_bound() {
-        let n = 2;
-        let mut t = trainer(ReusePolicy::HotnessAware {
-            hot_ratio: 0.3,
-            super_batch: n,
-        });
-        let exec = PipelineExecutor::new(PipelineConfig::default());
-        for epoch in 0..4 {
-            let (obs, _) = exec.run_epoch(&mut t, epoch);
-            assert!(
-                obs.max_staleness < 2 * n as u64,
-                "gap {} ≥ 2n",
-                obs.max_staleness
-            );
-        }
-        assert!(t.embedding_reuses() > 0);
-    }
-
-    #[test]
-    fn transfer_stall_is_hidden_by_the_pipeline() {
-        // With a slow simulated link, the sequential baseline pays the full
-        // stall; the pipelined run overlaps it with compute. The tiny
-        // dataset's per-epoch compute (<1 ms) is smaller than scheduler
-        // noise, so this comparison needs a workload whose overlappable
-        // compute dwarfs both engine startup and timing jitter.
-        let make = || {
-            let ds = DatasetSpec::reddit_convergence().build_full();
-            let cfg = TrainerConfig::convergence_default(LayerKind::Gcn, ReusePolicy::Exact);
-            ConvergenceTrainer::new(ds, cfg)
-        };
-        let cfg = PipelineConfig {
-            h2d_gibps: 0.2,
-            ..PipelineConfig::default()
-        };
-        let exec = PipelineExecutor::new(cfg);
-        // Even so, the whole workspace suite may be running concurrently
-        // on this one core, and the pipelined side can lose its slice to a
-        // competing test binary. The overlap itself is deterministic, so
-        // one fairly-scheduled paired attempt out of three is conclusive.
-        let mut attempts = Vec::new();
-        for _ in 0..3 {
-            let mut seq = make();
-            let mut pip = make();
-            let (_, seq_report) = exec.run_epoch_sequential(&mut seq, 0);
-            let (_, pip_report) = exec.run_epoch(&mut pip, 0);
-            assert_eq!(seq_report.h2d_bytes, pip_report.h2d_bytes);
-            if pip_report.epoch_seconds < seq_report.epoch_seconds {
-                return;
-            }
-            attempts.push((pip_report.epoch_seconds, seq_report.epoch_seconds));
-        }
-        panic!("pipelined never beat sequential in 3 paired runs (pip, seq): {attempts:?}");
-    }
+    let epoch_seconds = wall.elapsed().as_secs_f64();
+    let observation = trainer.observe_epoch(stats);
+    let staged = sample_busy.seconds() + gather_busy.seconds() + transfer_busy.seconds();
+    let report = PipelineReport {
+        epoch_seconds,
+        num_batches: batches.len(),
+        sample_seconds: sample_busy.seconds(),
+        gather_collect_seconds: gather_busy.seconds(),
+        transfer_seconds: transfer_busy.seconds(),
+        train_seconds: (epoch_seconds - staged).max(0.0),
+        train_wait_seconds: staged,
+        h2d_bytes,
+        reorder_peak: 0,
+        cache_hits: 0,
+        cache_misses: gathered_vertices,
+        failures: Vec::new(),
+    };
+    (observation, report)
 }

@@ -36,7 +36,7 @@ pub struct WorkloadConfig {
 }
 
 impl WorkloadConfig {
-    /// The paper's default setup (§5.1): 3 layers, fanout [25,10,5],
+    /// The paper's default setup (§5.1): 3 layers, fanout `[25,10,5]`,
     /// batch 1024.
     pub fn paper_default(kind: LayerKind) -> Self {
         Self {

@@ -28,6 +28,7 @@ use crate::trainer::ConvergenceTrainer;
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::layers::Layer;
 use neutron_sample::{NeighborSampler, SamplerScratch};
+use neutron_tensor::alloc::{self, Stage};
 use std::sync::Arc;
 
 /// One super-batch's refresh work over a subset of the hot set.
@@ -144,6 +145,9 @@ impl RefreshTask {
                 .chunks(chunk)
                 .map(|part| {
                     scope.spawn(move || {
+                        // A new thread starts untagged; shard work is
+                        // refresh work wherever the task was launched.
+                        alloc::set_stage(Stage::Refresh);
                         let mut scratch = SamplerScratch::new();
                         self.run_partition(part, &mut scratch)
                     })

@@ -58,9 +58,6 @@ pub struct ReplicatedConfig {
     /// Simulated replica-to-replica fabric used to price remote feature
     /// pulls and gradient all-reduces. Distinct from the PCIe H2D model.
     pub interconnect: InterconnectSpec,
-    /// Per-replica recycled staging-buffer pool size; 0 = auto
-    /// (`2 × channel_depth + 4`).
-    pub pool_batches: usize,
     /// Write a checkpoint after every epoch whose number + 1 is a multiple
     /// of this (0 disables). Same absolute-epoch cadence as the
     /// single-replica engine, so restored sessions keep the schedule.
@@ -86,23 +83,11 @@ impl Default for ReplicatedConfig {
             locality_aware: true,
             gpu_free_bytes: 64 << 20,
             interconnect: InterconnectSpec::nvlink_like(),
-            pool_batches: 0,
             checkpoint_every: 0,
             checkpoint_path: None,
             fault_plan: None,
             stall_timeout: Duration::from_secs(5),
             on_replica_failure: FailurePolicy::Fail,
-        }
-    }
-}
-
-impl ReplicatedConfig {
-    /// Per-replica staging pool capacity: explicit, or enough for the
-    /// channel plus in-flight and recycling slack.
-    pub fn effective_pool_batches(&self) -> usize {
-        match self.pool_batches {
-            0 => 2 * self.pipeline.channel_depth + 4,
-            n => n,
         }
     }
 }
@@ -176,7 +161,6 @@ impl ReplicatedEngine {
             planner: Planner::OwnedHot {
                 gpu_free_bytes: c.gpu_free_bytes,
             },
-            pool_batches: c.effective_pool_batches(),
             refresh_shards: 1,
             checkpoint_every: c.checkpoint_every,
             checkpoint_path: c.checkpoint_path.as_deref(),
@@ -234,19 +218,18 @@ mod tests {
     }
 
     #[test]
-    fn r1_identity_holds_across_depths_pools_and_locality() {
+    fn r1_identity_holds_across_depths_and_locality() {
         let mut seq = trainer(policy());
         let want = seq.train_epoch(0).train_loss;
-        for (depth, pool, locality) in [(1, 0, true), (4, 3, false), (2, 8, true)] {
+        for (depth, locality) in [(1, true), (4, false), (2, true)] {
             let mut t = trainer(policy());
             let mut cfg = ReplicatedConfig::default();
             cfg.pipeline.channel_depth = depth;
-            cfg.pool_batches = pool;
             cfg.locality_aware = locality;
             let report = ReplicatedEngine::new(cfg).run_session(&mut t, 0, 1);
             assert_eq!(
                 report.epochs[0].observation.train_loss, want,
-                "depth={depth} pool={pool} locality={locality}"
+                "depth={depth} locality={locality}"
             );
         }
     }

@@ -238,14 +238,14 @@ impl<F: FnMut()> Drop for Defer<F> {
 }
 
 /// The transfer stage for one batch: returns the host→device bytes it
-/// charges and, when a simulated link is configured, stalls for the PCIe
-/// time. Shared by the session and the sequential baseline so their
-/// per-batch costing can never drift apart. Charges only the batch's
+/// charges and, when a simulated link is configured (`h2d_gibps > 0`),
+/// stalls for the PCIe time. Shared by the session and the serial epoch so
+/// their per-batch costing can never drift apart. Charges only the batch's
 /// *miss* bytes — cache-resident features never cross the link.
-pub(crate) fn transfer_stage(cfg: &PipelineConfig, batch: &StagedBatch) -> u64 {
+pub(crate) fn transfer_stage(h2d_gibps: f64, batch: &StagedBatch) -> u64 {
     let bytes = batch.h2d_bytes();
-    if cfg.h2d_gibps > 0.0 {
-        let secs = bytes as f64 / (cfg.h2d_gibps * (1u64 << 30) as f64);
+    if h2d_gibps > 0.0 {
+        let secs = bytes as f64 / (h2d_gibps * (1u64 << 30) as f64);
         std::thread::sleep(Duration::from_secs_f64(secs));
     }
     bytes
@@ -711,23 +711,28 @@ pub(crate) enum Planner {
     /// No cache; the trainer's refresh split stays where it is.
     Fixed,
     /// Re-plan split and cache from measured train occupancy after every
-    /// epoch, smoothed by an EWMA and damped by a hysteresis band.
-    Adaptive {
-        gpu_free_bytes: u64,
-        alpha: f64,
-        hysteresis: f64,
-    },
+    /// epoch, smoothed by an EWMA ([`OCCUPANCY_EWMA_ALPHA`]) and damped by a
+    /// hysteresis band ([`SPLIT_HYSTERESIS`]).
+    Adaptive { gpu_free_bytes: u64 },
     /// Each replica caches its hottest owned vertices once per session.
     OwnedHot { gpu_free_bytes: u64 },
 }
+
+/// EWMA weight of the newest occupancy measurement in the adaptive
+/// planner's signal: `s ← α·measured + (1−α)·s_prev`, damping per-epoch
+/// timer noise.
+const OCCUPANCY_EWMA_ALPHA: f64 = 0.4;
+
+/// Dead band of the adaptive split: a newly planned CPU fraction replaces
+/// the installed one (and rebuilds the feature cache) only when it differs
+/// by more than this. The first plan of a session always installs.
+const SPLIT_HYSTERESIS: f64 = 0.05;
 
 /// Everything a session needs beyond the trainer.
 pub(crate) struct SessionSpec<'a> {
     pub pipeline: &'a PipelineConfig,
     pub topology: Topology<'a>,
     pub planner: Planner,
-    /// Capacity of each lane's spent-buffer pool.
-    pub pool_batches: usize,
     /// Threads the refresh worker spreads a task over (see
     /// [`RefreshTask::run_sharded`]).
     pub refresh_shards: usize,
@@ -942,7 +947,7 @@ impl Shared<'_> {
     fn transfer(&self, batch: &StagedBatch, r: usize) {
         alloc::set_stage(Stage::Transfer);
         let t0 = Instant::now();
-        let bytes = transfer_stage(self.spec.pipeline, batch);
+        let bytes = transfer_stage(self.spec.pipeline.h2d_gibps, batch);
         let mut stats = self.stats(r);
         stats.h2d_bytes += bytes;
         stats.transfer_seconds += t0.elapsed().as_secs_f64();
@@ -1227,6 +1232,15 @@ pub(crate) fn run(
     };
     let (sampler_threads, gather_threads) =
         (spec.pipeline.sampler_threads, spec.pipeline.gather_threads);
+    // Each lane's spent-buffer pool covers every bundle its topology can
+    // have in flight at once: a pool that overflows during the end-of-epoch
+    // drain drops a warmed-up bundle, and the next epoch re-grows one from
+    // zero — allocation churn that never converges.
+    let depth = spec.pipeline.channel_depth;
+    let pool_capacity = match spec.topology {
+        Topology::Split => 3 * depth + sampler_threads + gather_threads + 10,
+        Topology::Fused { .. } => 2 * depth + 4,
+    };
     // Lane `r`'s batch order over the training vertices it owns, kept in
     // `dataset.train` order so a one-way partition reproduces the
     // single-lane batch stream exactly.
@@ -1251,9 +1265,7 @@ pub(crate) fn run(
         sources: (0..replicas)
             .map(|_| Bounded::new(spec.pipeline.channel_depth))
             .collect(),
-        pools: (0..replicas)
-            .map(|_| Bounded::new(spec.pool_batches.max(1)))
-            .collect(),
+        pools: (0..replicas).map(|_| Bounded::new(pool_capacity)).collect(),
         stats: (0..replicas).map(|_| Mutex::default()).collect(),
         tasks: Bounded::new(1),
         outputs: Bounded::new(1),
@@ -1555,22 +1567,17 @@ pub(crate) fn run(
             // and assembled features are split-invariant.
             let measured = report.train_occupancy();
             let mut smoothed_this = measured;
-            if let (
-                Planner::Adaptive {
-                    gpu_free_bytes,
-                    alpha,
-                    hysteresis,
-                },
-                Some(hot),
-            ) = (&spec.planner, trainer.hot_set())
+            if let (Planner::Adaptive { gpu_free_bytes }, Some(hot)) =
+                (&spec.planner, trainer.hot_set())
             {
-                smoothed_this = smoothed_occupancy
-                    .map_or(measured, |prev| alpha * measured + (1.0 - alpha) * prev);
+                smoothed_this = smoothed_occupancy.map_or(measured, |prev| {
+                    OCCUPANCY_EWMA_ALPHA * measured + (1.0 - OCCUPANCY_EWMA_ALPHA) * prev
+                });
                 smoothed_occupancy = Some(smoothed_this);
                 let plan = hybrid.plan_from_occupancy(hot, smoothed_this, *gpu_free_bytes);
                 let planned = plan.cpu_fraction();
                 if !split_installed
-                    || (planned - trainer.refresh_cpu_fraction()).abs() > *hysteresis
+                    || (planned - trainer.refresh_cpu_fraction()).abs() > SPLIT_HYSTERESIS
                 {
                     split_installed = true;
                     trainer.set_refresh_cpu_fraction(planned);

@@ -6,7 +6,7 @@
 //! differences between policies are measured, not modelled.
 
 use crate::pool::BatchBuffers;
-use crate::refresh::{CpuPart, InlineRefresh, RefreshBackend, RefreshOutput, RefreshTask};
+use crate::refresh::{CpuPart, RefreshBackend, RefreshOutput, RefreshTask};
 use neutron_cache::EmbeddingStore;
 use neutron_graph::{Dataset, VertexId};
 use neutron_nn::loss::cross_entropy;
@@ -123,7 +123,7 @@ pub struct PreparedBatch {
 }
 
 /// What one epoch's batch loop produced, before test-set evaluation —
-/// see [`ConvergenceTrainer::train_batches`].
+/// see [`ConvergenceTrainer::train_steps_replicated`].
 pub struct BatchLoopStats {
     /// Per-batch training losses, in epoch order.
     pub losses: Vec<f32>,
@@ -285,88 +285,37 @@ impl ConvergenceTrainer {
         self.batches.epoch_batches(epoch)
     }
 
-    /// The gather stage: collects the raw feature rows of `src` — the one
-    /// place the "Gather (FC)" work is implemented, shared by the
-    /// sequential trainer, the pipelined executor's gather workers, and
-    /// the hot-embedding refresh. Gathers by the sampler's `u32` ids
-    /// directly; no widened index vector is built.
+    /// Collects the raw feature rows of `src` for test-set evaluation and
+    /// the hot-embedding refresh (training batches gather through
+    /// [`crate::gather::GatheredFeatures`]). Gathers by the sampler's `u32`
+    /// ids directly; no widened index vector is built.
     pub fn gather_features(dataset: &Dataset, src: &[VertexId]) -> Matrix {
         dataset.features().gather_rows_u32(src)
     }
 
-    /// Runs the CPU sample + gather stages for one batch. Pure with respect
-    /// to trainer state, so any number of worker threads may prepare batches
-    /// concurrently; determinism is guaranteed by [`batch_sample_seed`].
-    pub fn prepare_batch(
-        dataset: &Dataset,
-        sampler: &NeighborSampler,
-        config_seed: u64,
-        epoch: usize,
-        index: usize,
-        batch: &[VertexId],
-    ) -> PreparedBatch {
-        let seed = batch_sample_seed(config_seed, epoch, index);
-        let blocks = sampler.sample_batch(&dataset.csr, batch, seed);
-        let features = Self::gather_features(dataset, blocks[0].src());
-        PreparedBatch {
-            index,
-            blocks,
-            features,
-            scrap: BatchBuffers::new(),
-        }
-    }
-
     /// Trains one epoch and reports loss/accuracy/staleness, including the
     /// §4.3 weight-variation monitor `ε = max‖ΔW‖∞ × 2n` measured across
-    /// the epoch's super-batches.
+    /// the epoch's super-batches. This is the serial epoch
+    /// ([`crate::pipeline::run_serial_epoch`]) without a simulated link.
     pub fn train_epoch(&mut self, epoch: usize) -> EpochObservation {
-        let dataset = self.dataset_handle();
-        let sampler = self.sampler.clone();
-        let config_seed = self.config.seed;
-        let epoch_batches = self.batches.epoch_batches(epoch);
-        let items = epoch_batches.iter().enumerate().map(|(i, batch)| {
-            Self::prepare_batch(&dataset, &sampler, config_seed, epoch, i, batch)
-        });
-        self.train_epoch_with(items)
-    }
-
-    /// Trains one epoch from externally prepared batches — the entry point
-    /// of the pipelined executor. Batches must arrive in epoch order
-    /// (`index` 0, 1, 2, …); out-of-order delivery is a caller bug, caught
-    /// by an assertion, because the super-batch barrier and the model
-    /// version counter both advance with the train order.
-    pub fn train_epoch_with<I>(&mut self, prepared: I) -> EpochObservation
-    where
-        I: IntoIterator<Item = PreparedBatch>,
-    {
-        let stats = self.train_batches(prepared);
-        self.observe_epoch(stats)
+        crate::pipeline::run_serial_epoch(self, epoch, 0.0).0
     }
 
     /// The epoch's batch loop alone — training, the super-batch barrier and
-    /// the §4.3 weight-variation monitor, but no test-set evaluation.
-    /// Executors time this separately so throughput numbers measure
-    /// training, not inference. Refresh work runs inline on the calling
-    /// thread; see [`Self::train_batches_with`] for executor-supplied
-    /// refresh backends.
-    pub fn train_batches<I>(&mut self, prepared: I) -> BatchLoopStats
-    where
-        I: IntoIterator<Item = PreparedBatch>,
-    {
-        self.train_batches_with(prepared, &mut InlineRefresh::default())
-    }
-
-    /// [`Self::train_batches`] with the CPU share of each super-batch
-    /// refresh delegated to `backend`. The super-batch boundary is
-    /// **publish-then-launch**: rows computed from the *previous* boundary's
-    /// parameter snapshot are installed into the store, then a new
-    /// [`RefreshTask`] is captured from the current parameters and handed to
-    /// the backend to compute during the upcoming super-batch. Embeddings
-    /// read during super-batch `k` therefore carry the version of boundary
-    /// `k−1`, giving a gap in `[n, 2n−1]` — the paper's `< 2n` bound — while
-    /// the refresh itself overlaps training. Numbers are independent of the
-    /// backend: the task is a pure function of its snapshot (see
-    /// [`crate::refresh`]).
+    /// the §4.3 weight-variation monitor, but no test-set evaluation — with
+    /// the CPU share of each super-batch refresh delegated to `backend`.
+    /// Batches must arrive in epoch order (`index` 0, 1, 2, …); each is a
+    /// one-replica step of [`Self::train_steps_replicated`].
+    ///
+    /// The super-batch boundary is **publish-then-launch**: rows computed
+    /// from the *previous* boundary's parameter snapshot are installed into
+    /// the store, then a new [`RefreshTask`] is captured from the current
+    /// parameters and handed to the backend to compute during the upcoming
+    /// super-batch. Embeddings read during super-batch `k` therefore carry
+    /// the version of boundary `k−1`, giving a gap in `[n, 2n−1]` — the
+    /// paper's `< 2n` bound — while the refresh itself overlaps training.
+    /// Numbers are independent of the backend: the task is a pure function
+    /// of its snapshot (see [`crate::refresh`]).
     pub fn train_batches_with<I>(
         &mut self,
         prepared: I,
@@ -375,32 +324,14 @@ impl ConvergenceTrainer {
     where
         I: IntoIterator<Item = PreparedBatch>,
     {
-        self.train_batches_recycling(prepared, backend, |_| {})
-    }
-
-    /// [`Self::train_batches_with`] handing each batch to `recycle` once it
-    /// has trained — the hook the engine uses to dismantle spent batches
-    /// into the buffer pool. Runs strictly after the batch's gradients are
-    /// computed, so recycling can never affect numerics. Each batch is a
-    /// one-replica step of [`Self::train_steps_replicated`].
-    pub fn train_batches_recycling<I, R>(
-        &mut self,
-        prepared: I,
-        backend: &mut dyn RefreshBackend,
-        recycle: R,
-    ) -> BatchLoopStats
-    where
-        I: IntoIterator<Item = PreparedBatch>,
-        R: FnMut(PreparedBatch),
-    {
         let steps = prepared.into_iter().map(std::iter::once);
-        self.train_steps_replicated(steps, backend, recycle)
+        self.train_steps_replicated(steps, backend, |_| {})
     }
 
     /// The one batch loop. Every item of `steps` carries one prepared batch
     /// **per replica**, in fixed replica order, all with the step's index.
-    /// A one-replica step is the plain `train_prepared` update (no
-    /// clone, no averaging). A multi-replica step computes each replica's
+    /// A one-replica step is the plain single-batch update (no clone, no
+    /// averaging). A multi-replica step computes each replica's
     /// gradients at the same parameter version ([`Self::grad_prepared`]),
     /// tree-averages them ([`neutron_nn::tree_average`] —
     /// order-independent by construction) and applies one shared optimizer
@@ -501,7 +432,7 @@ impl ConvergenceTrainer {
     /// per-replica half of a data-parallel step — replicas call it in turn
     /// at the same parameter version, the averaged gradients are installed
     /// with [`Self::apply_averaged_grads`], and one shared step follows.
-    /// [`Self::train_prepared`] is exactly this followed by the step, so
+    /// The single-replica update is exactly this followed by the step, so
     /// the split cannot change single-replica numerics.
     pub fn grad_prepared(&mut self, blocks: &[Block], feats: &Matrix) -> f32 {
         let bottom = &blocks[0];
@@ -736,10 +667,6 @@ impl ConvergenceTrainer {
         self.refresh_cpu_fraction
     }
 
-    fn gather(&self, src: &[VertexId]) -> Matrix {
-        Self::gather_features(&self.dataset, src)
-    }
-
     /// Test accuracy with exact (non-stale, full-neighbor) inference.
     /// Hub neighborhoods are capped at 32 to bound the working set; the cap
     /// is deterministic so evaluation is reproducible.
@@ -749,7 +676,7 @@ impl ConvergenceTrainer {
         for chunk in self.dataset.test.chunks(512) {
             let blocks =
                 neutron_sample::full_blocks(&self.dataset.csr, chunk, self.config.layers, 32);
-            let feats = self.gather(blocks[0].src());
+            let feats = Self::gather_features(&self.dataset, blocks[0].src());
             let pass = self.model.forward(&blocks, &feats);
             let labels: Vec<usize> = chunk
                 .iter()
@@ -785,6 +712,7 @@ impl ConvergenceTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::refresh::InlineRefresh;
     use neutron_graph::DatasetSpec;
 
     fn trainer(policy: ReusePolicy) -> ConvergenceTrainer {

@@ -4,7 +4,7 @@
 //! [`crate::dataset::DatasetSpec`] to synthesise scaled replicas of the
 //! paper's evaluation graphs:
 //!
-//! - [`rmat`] — recursive-matrix generator; heavy-tailed degree skew matching
+//! - [`rmat()`] — recursive-matrix generator; heavy-tailed degree skew matching
 //!   social networks (Reddit, Orkut, LiveJournal) and web graphs,
 //! - [`ba`] — Barabási–Albert preferential attachment; power-law citation
 //!   structure (Papers100M),

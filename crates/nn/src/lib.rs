@@ -1,8 +1,8 @@
 //! GNN training engine: GCN, GraphSAGE and GAT over sampled blocks, with
 //! hand-derived backward passes.
 //!
-//! The paper evaluates three models (§5.1): GCN [21], GraphSAGE [12] and GAT
-//! [37]. Each is implemented as a [`layers::Layer`] operating on a
+//! The paper evaluates three models (§5.1): GCN \[21\], GraphSAGE \[12\] and GAT
+//! \[37\]. Each is implemented as a [`layers::Layer`] operating on a
 //! [`neutron_sample::Block`]; a [`model::GnnModel`] stacks them. Forward
 //! passes return a [`model::ForwardPass`] holding every intermediate needed
 //! for the manual backward pass — which is also what lets the NeutronOrch

@@ -5,7 +5,7 @@
 
 use crate::matrix::Matrix;
 
-/// Activation function selector used by [`neutron-nn`] layers.
+/// Activation function selector used by `neutron-nn` layers.
 ///
 /// GCN/GraphSAGE use [`Activation::Relu`]; GAT uses [`Activation::Elu`] for
 /// layer outputs and [`Activation::LeakyRelu`] inside attention scores.

@@ -1,6 +1,6 @@
 //! Dense `f32` matrix kernels for the NeutronOrch reproduction.
 //!
-//! The GNN training engine ([`neutron-nn`]) is built entirely on this crate;
+//! The GNN training engine (`neutron-nn`) is built entirely on this crate;
 //! no external tensor library is used. The design favours predictable,
 //! allocation-conscious kernels over generality: everything is a row-major
 //! 2-D `f32` [`Matrix`], which is exactly the shape of vertex feature /

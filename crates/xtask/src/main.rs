@@ -32,7 +32,7 @@ const USAGE: &str = "\
 usage: cargo xtask <command>
 
 commands:
-  profile <quickstart|pipeline|engine> [--timing [--allocs]] [--epochs N] [--replicas R]
+  profile <quickstart|engine> [--timing [--allocs]] [--epochs N] [--replicas R]
           [--faults SPEC [--policy fail|drop|restore]]
       run a workload under samply (default) or with timing hooks (--timing);
       --allocs adds a per-stage heap-allocation breakdown; --replicas R runs

@@ -9,7 +9,7 @@
 
 use neutron_core::engine::{EngineConfig, SessionError, TrainingEngine};
 use neutron_core::fault::{FailureEvent, FailurePolicy, FaultPlan};
-use neutron_core::pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
+use neutron_core::pipeline::PipelineReport;
 use neutron_core::replica::{ReplicatedConfig, ReplicatedEngine};
 use neutron_core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutron_core::SessionReport;
@@ -26,9 +26,6 @@ pub enum Workload {
     /// The quickstart convergence run: sequential hotness-aware training on
     /// the Reddit-convergence replica (no pipeline).
     Quickstart,
-    /// Per-epoch pipelined executor (`PipelineExecutor::run_epoch`) on the
-    /// scaled Reddit replica — respawns stage workers every epoch.
-    Pipeline,
     /// A persistent `TrainingEngine` session on the scaled Reddit replica —
     /// the BENCH_engine.json configuration.
     Engine,
@@ -38,10 +35,9 @@ impl Workload {
     pub fn parse(name: &str) -> Result<Self, String> {
         match name {
             "quickstart" => Ok(Self::Quickstart),
-            "pipeline" => Ok(Self::Pipeline),
             "engine" => Ok(Self::Engine),
             other => Err(format!(
-                "unknown workload '{other}' (expected quickstart | pipeline | engine)"
+                "unknown workload '{other}' (expected quickstart | engine)"
             )),
         }
     }
@@ -49,7 +45,6 @@ impl Workload {
     fn name(self) -> &'static str {
         match self {
             Self::Quickstart => "quickstart",
-            Self::Pipeline => "pipeline",
             Self::Engine => "engine",
         }
     }
@@ -130,21 +125,6 @@ fn run_workload(workload: Workload, epochs: usize, replicas: usize) -> RunOutput
                 println!("epoch {epoch}: loss {:.4}", obs.train_loss);
             }
             Vec::new()
-        }
-        Workload::Pipeline => {
-            let spec = scaled_spec();
-            let mut trainer = scaled_trainer(&spec);
-            let exec = PipelineExecutor::new(PipelineConfig::default());
-            let mut reports = Vec::with_capacity(epochs);
-            for epoch in 0..epochs {
-                let (obs, report) = exec.run_epoch(&mut trainer, epoch);
-                println!(
-                    "epoch {epoch}: loss {:.4}, {:.2}s",
-                    obs.train_loss, report.epoch_seconds
-                );
-                reports.push(report);
-            }
-            reports
         }
         Workload::Engine => {
             let spec = scaled_spec();

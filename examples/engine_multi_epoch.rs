@@ -10,9 +10,10 @@
 //! Three executors run the *same* training trajectory (bit-identical loss,
 //! asserted below):
 //!
-//! 1. `sequential` — the unpipelined baseline, every stage on one thread;
-//! 2. `respawn` — `PipelineExecutor::run_epoch` per epoch, which spawns
-//!    and joins the stage workers every call;
+//! 1. `sequential` — the unpipelined baseline (`run_serial_epoch`), every
+//!    stage on one thread;
+//! 2. `respawn` — a one-epoch `TrainingEngine` session per epoch, which
+//!    spawns and joins the stage workers every call;
 //! 3. `engine` — one `TrainingEngine` session: workers spawned once,
 //!    parked on the generation-stamped epoch gate between epochs, refresh
 //!    on its own worker, adaptive split on.
@@ -30,7 +31,7 @@
 //! deterministic, so that equality is asserted, as is the saving).
 
 use neutronorch::core::engine::{EngineConfig, TrainingEngine};
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::pipeline::{run_serial_epoch, PipelineConfig};
 use neutronorch::core::refresh::RefreshTask;
 use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
@@ -95,13 +96,7 @@ fn main() {
 
     // --- Calibration: one pure-compute epoch (no transfer stall). -------
     let mut cal = trainer(&spec);
-    let calibrate = PipelineExecutor::new(PipelineConfig {
-        sampler_threads: 1,
-        gather_threads: 1,
-        channel_depth: 4,
-        h2d_gibps: 0.0,
-    });
-    let (_, compute) = calibrate.run_epoch_sequential(&mut cal, 0);
+    let (_, compute) = run_serial_epoch(&mut cal, 0, 0.0);
     let h2d_gibps = compute.h2d_bytes as f64 / (0.5 * compute.epoch_seconds) / (1u64 << 30) as f64;
     println!(
         "calibration: compute epoch {:.2}s, {:.1} MiB h2d -> simulated link {:.3} GiB/s\n",
@@ -127,38 +122,47 @@ fn main() {
     // --- Mode 1: sequential reference (also the determinism oracle). Its
     // per-epoch staging allocations (sample+gather+transfer, allocating
     // code paths) are the "before" the pooled engine is compared against.
-    let exec = PipelineExecutor::new(pipeline.clone());
     let mut seq_trainer = trainer(&spec);
     let mut seq_secs = Vec::with_capacity(EPOCHS);
     let mut seq_loss = Vec::with_capacity(EPOCHS);
     let mut seq_staging_allocs: Vec<u64> = Vec::with_capacity(EPOCHS);
     for epoch in 0..EPOCHS {
         let before = alloc::snapshot();
-        let (obs, report) = exec.run_epoch_sequential(&mut seq_trainer, epoch);
+        let (obs, report) = run_serial_epoch(&mut seq_trainer, epoch, h2d_gibps);
         seq_staging_allocs.push(alloc::snapshot().since(&before).staging_allocs());
         seq_secs.push(report.epoch_seconds);
         seq_loss.push(obs.train_loss);
     }
 
-    // --- Mode 2: compat path — respawn workers every epoch. This run has
-    // no cache budget, so its per-epoch h2d_bytes are also the cache-less
-    // transfer-volume baseline for the Fig 6c ablation.
+    // --- Mode 2: respawn workers every epoch — a one-epoch session per
+    // epoch, timed whole (spawn and join included) minus test-set
+    // evaluation. This run has no cache budget, so its per-epoch h2d_bytes
+    // are also the cache-less transfer-volume baseline for the Fig 6c
+    // ablation.
+    let respawn = TrainingEngine::new(EngineConfig {
+        pipeline: pipeline.clone(),
+        adaptive_split: false,
+        gpu_free_bytes: 0,
+        ..EngineConfig::default()
+    });
     let mut respawn_trainer = trainer(&spec);
     let mut respawn_secs = Vec::with_capacity(EPOCHS);
     let mut nocache_h2d = Vec::with_capacity(EPOCHS);
     for (epoch, &want_loss) in seq_loss.iter().enumerate() {
-        let (obs, report) = exec.run_epoch(&mut respawn_trainer, epoch);
-        respawn_secs.push(report.epoch_seconds);
-        nocache_h2d.push(report.h2d_bytes);
+        let wall = Instant::now();
+        let mut session = respawn.run_session(&mut respawn_trainer, epoch, 1);
+        let run = session.epochs.pop().expect("session ran one epoch");
+        respawn_secs.push((wall.elapsed().as_secs_f64() - run.eval_seconds).max(0.0));
+        nocache_h2d.push(run.report.h2d_bytes);
         assert_eq!(
-            obs.train_loss, want_loss,
+            run.observation.train_loss, want_loss,
             "respawn executor diverged at epoch {epoch}"
         );
     }
 
     // --- Mode 3: persistent engine, adaptive split active with a real GPU
     // cache budget (EWMA-smoothed occupancy, hysteresis on the installed
-    // split — EngineConfig defaults).
+    // split).
     let config = EngineConfig {
         pipeline,
         adaptive_split: true,
@@ -167,11 +171,7 @@ fn main() {
         checkpoint_path: Some("target/bench_checkpoint.ck".into()),
         ..EngineConfig::default()
     };
-    let (budget, alpha, hysteresis) = (
-        config.gpu_free_bytes,
-        config.occupancy_ewma_alpha,
-        config.split_hysteresis,
-    );
+    let budget = config.gpu_free_bytes;
     let refresh_workers = config.effective_refresh_workers();
     let engine = TrainingEngine::new(config);
     let mut engine_trainer = trainer(&spec);
@@ -565,7 +565,7 @@ fn main() {
             .join(", ")
     );
     let json = format!(
-        "{{\n  \"dataset\": \"{}\",\n  \"replica_vertices\": {},\n  \"epochs\": {},\n  \"super_batch\": {},\n  \"sampler_threads\": {},\n  \"gather_threads\": {},\n  \"h2d_gibps\": {:.4},\n  \"gpu_cache_budget_bytes\": {},\n  \"occupancy_ewma_alpha\": {},\n  \"split_hysteresis\": {},\n  \"sequential_epoch_seconds\": {},\n  \"respawn_epoch_seconds\": {},\n  \"engine_epoch_seconds\": {},\n  \"engine_epoch1_seconds\": {:.4},\n  \"engine_warm_mean_seconds\": {:.4},\n  \"respawn_warm_mean_seconds\": {:.4},\n  \"pr3_engine_warm_mean_seconds\": {PR3_ENGINE_WARM_MEAN_SECONDS},\n  \"pr3_respawn_warm_mean_seconds\": {PR3_RESPAWN_WARM_MEAN_SECONDS},\n  \"engine_warm_speedup_vs_pr3\": {:.2},\n  \"stage_seconds\": {stage_seconds},\n  \"kernel_seconds\": {kernel_seconds},\n  \"alloc_counting\": {alloc_counting},\n  \"allocs_per_epoch\": {allocs_per_epoch},\n  \"alloc_bytes_per_epoch\": {alloc_bytes_per_epoch},\n  \"sequential_staging_allocs_per_epoch\": {seq_staging_json},\n  \"engine_staging_allocs_per_epoch\": {eng_staging_json},\n  \"engine_warm_staging_allocs_per_epoch\": {eng_warm_staging},\n  \"checkpoint_every\": {CHECKPOINT_EVERY},\n  \"checkpoint_bytes_per_epoch\": {ck_bytes_json},\n  \"checkpoint_seconds_per_epoch\": {ck_secs_json},\n  \"replicas\": {REPLICAS},\n  \"model_bytes\": {},\n  \"partition_cut_fraction\": {:.4},\n  \"partition_balance\": {:.4},\n  \"replicated_r1_matches_sequential\": true,\n  \"replica_steps_per_epoch\": {repl_steps_json},\n  \"allreduce_bytes_per_epoch\": {allreduce_json},\n  \"remote_feature_bytes_per_epoch\": {remote_json},\n  \"remote_feature_bytes_per_epoch_blind\": {remote_blind_json},\n  \"interconnect_seconds_per_epoch\": {interconnect_json},\n  \"replica_epoch_seconds\": {replica_epoch_json},\n  \"replicated_staging_allocs_per_epoch\": {repl_staging_json},\n  \"refresh_sharded\": {refresh_sharded},\n  \"adaptive_cpu_fraction\": {},\n  \"smoothed_occupancy\": {},\n  \"cached_vertices_per_epoch\": {},\n  \"cache_hits_per_epoch\": {},\n  \"cache_misses_per_epoch\": {},\n  \"h2d_bytes_per_epoch\": {},\n  \"h2d_bytes_per_epoch_nocache\": {},\n  \"refresh_worker_seconds\": {},\n  \"train_occupancy\": {},\n  \"workers_spawned_once\": {},\n  \"engine_startup_seconds\": {:.4},\n  \"losses\": {}\n}}\n",
+        "{{\n  \"dataset\": \"{}\",\n  \"replica_vertices\": {},\n  \"epochs\": {},\n  \"super_batch\": {},\n  \"sampler_threads\": {},\n  \"gather_threads\": {},\n  \"h2d_gibps\": {:.4},\n  \"gpu_cache_budget_bytes\": {},\n  \"sequential_epoch_seconds\": {},\n  \"respawn_epoch_seconds\": {},\n  \"engine_epoch_seconds\": {},\n  \"engine_epoch1_seconds\": {:.4},\n  \"engine_warm_mean_seconds\": {:.4},\n  \"respawn_warm_mean_seconds\": {:.4},\n  \"pr3_engine_warm_mean_seconds\": {PR3_ENGINE_WARM_MEAN_SECONDS},\n  \"pr3_respawn_warm_mean_seconds\": {PR3_RESPAWN_WARM_MEAN_SECONDS},\n  \"engine_warm_speedup_vs_pr3\": {:.2},\n  \"stage_seconds\": {stage_seconds},\n  \"kernel_seconds\": {kernel_seconds},\n  \"alloc_counting\": {alloc_counting},\n  \"allocs_per_epoch\": {allocs_per_epoch},\n  \"alloc_bytes_per_epoch\": {alloc_bytes_per_epoch},\n  \"sequential_staging_allocs_per_epoch\": {seq_staging_json},\n  \"engine_staging_allocs_per_epoch\": {eng_staging_json},\n  \"engine_warm_staging_allocs_per_epoch\": {eng_warm_staging},\n  \"checkpoint_every\": {CHECKPOINT_EVERY},\n  \"checkpoint_bytes_per_epoch\": {ck_bytes_json},\n  \"checkpoint_seconds_per_epoch\": {ck_secs_json},\n  \"replicas\": {REPLICAS},\n  \"model_bytes\": {},\n  \"partition_cut_fraction\": {:.4},\n  \"partition_balance\": {:.4},\n  \"replicated_r1_matches_sequential\": true,\n  \"replica_steps_per_epoch\": {repl_steps_json},\n  \"allreduce_bytes_per_epoch\": {allreduce_json},\n  \"remote_feature_bytes_per_epoch\": {remote_json},\n  \"remote_feature_bytes_per_epoch_blind\": {remote_blind_json},\n  \"interconnect_seconds_per_epoch\": {interconnect_json},\n  \"replica_epoch_seconds\": {replica_epoch_json},\n  \"replicated_staging_allocs_per_epoch\": {repl_staging_json},\n  \"refresh_sharded\": {refresh_sharded},\n  \"adaptive_cpu_fraction\": {},\n  \"smoothed_occupancy\": {},\n  \"cached_vertices_per_epoch\": {},\n  \"cache_hits_per_epoch\": {},\n  \"cache_misses_per_epoch\": {},\n  \"h2d_bytes_per_epoch\": {},\n  \"h2d_bytes_per_epoch_nocache\": {},\n  \"refresh_worker_seconds\": {},\n  \"train_occupancy\": {},\n  \"workers_spawned_once\": {},\n  \"engine_startup_seconds\": {:.4},\n  \"losses\": {}\n}}\n",
         spec.name,
         spec.vertices,
         EPOCHS,
@@ -574,8 +574,6 @@ fn main() {
         GATHER_THREADS,
         h2d_gibps,
         budget,
-        alpha,
-        hysteresis,
         fmt_series(&seq_secs),
         fmt_series(&respawn_secs),
         fmt_series(&engine_secs),

@@ -7,7 +7,8 @@
 //! ```
 
 use neutronorch::core::baselines::{Case1Dgl, Case2DglUva, Case3PaGraph, Case4GnnLab, GasLike};
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::engine::{EngineConfig, TrainingEngine};
+use neutronorch::core::pipeline::{run_serial_epoch, PipelineConfig};
 use neutronorch::core::profile::{WorkloadConfig, WorkloadProfile};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::core::{NeutronOrch, Orchestrator};
@@ -67,33 +68,38 @@ fn main() {
     }
 
     // The simulated table above models the orchestration strategies; the
-    // pipelined executor *executes* NeutronOrch's super-batch pipeline as
+    // engine *executes* NeutronOrch's super-batch pipeline as
     // real threads. Reprise the comparison measured, on the convergence
     // replica (small enough to finish in seconds): identical per-batch
     // stage costing, serial vs overlapped.
-    println!("\nmeasured execution (pipelined executor, Reddit-conv replica):");
+    println!("\nmeasured execution (pipelined engine, Reddit-conv replica):");
     let conv = DatasetSpec::reddit_convergence();
     let tcfg = TrainerConfig::convergence_default(LayerKind::Gcn, ReusePolicy::Exact);
     let mut seq = ConvergenceTrainer::new(conv.build_full(), tcfg.clone());
     let mut pip = ConvergenceTrainer::new(conv.build_full(), tcfg);
     // Calibrate the simulated H2D link to ~50% of compute (Fig 2 regime).
-    let probe = PipelineExecutor::new(PipelineConfig {
-        h2d_gibps: 0.0,
-        ..PipelineConfig::default()
-    });
-    let (_, compute) = probe.run_epoch_sequential(&mut seq, 0);
+    let (_, compute) = run_serial_epoch(&mut seq, 0, 0.0);
     let h2d_gibps = compute.h2d_bytes as f64 / (0.5 * compute.epoch_seconds) / (1u64 << 30) as f64;
-    let exec = PipelineExecutor::new(PipelineConfig {
-        h2d_gibps,
-        ..PipelineConfig::default()
+    let (_, s) = run_serial_epoch(&mut seq, 1, h2d_gibps);
+    // One pipelined epoch: a one-epoch engine session, timed whole (worker
+    // spawn and join included) minus test-set evaluation.
+    let engine = TrainingEngine::new(EngineConfig {
+        pipeline: PipelineConfig {
+            h2d_gibps,
+            ..PipelineConfig::default()
+        },
+        adaptive_split: false,
+        gpu_free_bytes: 0,
+        ..EngineConfig::default()
     });
-    let (_, s) = exec.run_epoch_sequential(&mut seq, 1);
-    let (_, p) = exec.run_epoch(&mut pip, 1);
+    let wall = std::time::Instant::now();
+    let p = engine.run_session(&mut pip, 1, 1).epochs.pop().unwrap();
+    let pip_seconds = wall.elapsed().as_secs_f64() - p.eval_seconds;
     println!(
         "  sequential {:.2}s/epoch, pipelined {:.2}s/epoch -> {:.2}x (transfer {:.2}s hidden behind train)",
         s.epoch_seconds,
-        p.epoch_seconds,
-        s.epoch_seconds / p.epoch_seconds,
-        p.transfer_seconds,
+        pip_seconds,
+        s.epoch_seconds / pip_seconds,
+        p.report.transfer_seconds,
     );
 }

@@ -1,5 +1,5 @@
-//! Sequential vs pipelined epoch throughput on the scaled Reddit replica,
-//! and the demonstration that the pipelined executor hides the (simulated)
+//! Serial vs pipelined epoch throughput on the scaled Reddit replica, and
+//! the demonstration that the pipelined stage graph hides the (simulated)
 //! host→device transfer behind compute — the paper's Fig 8 / Fig 14 claim.
 //!
 //! ```text
@@ -14,15 +14,20 @@
 //! paper's own profile (Fig 2: gather/transfer dominate the epoch). The
 //! example calibrates the simulated link so transfer time ≈ 50% of measured
 //! compute, inside the Fig 2 Case-1 regime, then runs the *same* stall on
-//! both the sequential baseline and the pipelined executor.
+//! both the serial baseline (`run_serial_epoch`) and a one-epoch
+//! `TrainingEngine` session.
 //!
 //! Writes `BENCH_pipeline.json` with the measured baseline so future PRs
 //! have a perf trajectory to beat.
 
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor, PipelineReport};
-use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
+use neutronorch::core::engine::{EngineConfig, TrainingEngine};
+use neutronorch::core::pipeline::{run_serial_epoch, PipelineConfig, PipelineReport};
+use neutronorch::core::trainer::{
+    ConvergenceTrainer, EpochObservation, ReusePolicy, TrainerConfig,
+};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
+use std::time::Instant;
 
 const SAMPLER_THREADS: usize = 2;
 const GATHER_THREADS: usize = 1;
@@ -37,6 +42,27 @@ fn trainer(spec: &DatasetSpec, policy: ReusePolicy) -> ConvergenceTrainer {
         policy,
     };
     ConvergenceTrainer::new(spec.build_full(), config)
+}
+
+/// One pipelined epoch: a one-epoch engine session (cache-less, fixed
+/// split), timed over the whole session minus test-set evaluation — worker
+/// spawn and join are part of what a single pipelined epoch costs.
+fn pipelined_epoch(
+    pipeline: &PipelineConfig,
+    trainer: &mut ConvergenceTrainer,
+) -> (EpochObservation, PipelineReport) {
+    let engine = TrainingEngine::new(EngineConfig {
+        pipeline: pipeline.clone(),
+        adaptive_split: false,
+        gpu_free_bytes: 0,
+        ..EngineConfig::default()
+    });
+    let wall = Instant::now();
+    let mut run = engine.run_session(trainer, 0, 1).epochs.pop().unwrap();
+    let r = &mut run.report;
+    r.epoch_seconds = (wall.elapsed().as_secs_f64() - run.eval_seconds).max(0.0);
+    r.train_seconds = (r.epoch_seconds - r.train_wait_seconds).max(0.0);
+    (run.observation, run.report)
 }
 
 fn print_report(label: &str, r: &PipelineReport) {
@@ -60,13 +86,7 @@ fn main() {
 
     // --- Calibration: one pure-compute epoch (no transfer stall). -------
     let mut cal = trainer(&spec, ReusePolicy::Exact);
-    let calibrate = PipelineExecutor::new(PipelineConfig {
-        sampler_threads: 1,
-        gather_threads: 1,
-        channel_depth: 4,
-        h2d_gibps: 0.0,
-    });
-    let (_, compute) = calibrate.run_epoch_sequential(&mut cal, 0);
+    let (_, compute) = run_serial_epoch(&mut cal, 0, 0.0);
     let h2d_gibps = compute.h2d_bytes as f64 / (0.5 * compute.epoch_seconds) / (1u64 << 30) as f64;
     println!(
         "calibration: compute epoch {:.2}s, {:.1} MiB h2d -> simulated link {:.3} GiB/s (transfer ≈ 50% of compute)\n",
@@ -82,11 +102,10 @@ fn main() {
         channel_depth: 4,
         h2d_gibps,
     };
-    let exec = PipelineExecutor::new(config);
     let mut seq = trainer(&spec, ReusePolicy::Exact);
     let mut pip = trainer(&spec, ReusePolicy::Exact);
-    let (seq_obs, seq_report) = exec.run_epoch_sequential(&mut seq, 0);
-    let (pip_obs, pip_report) = exec.run_epoch(&mut pip, 0);
+    let (seq_obs, seq_report) = run_serial_epoch(&mut seq, 0, h2d_gibps);
+    let (pip_obs, pip_report) = pipelined_epoch(&config, &mut pip);
     print_report("sequential", &seq_report);
     print_report("pipelined", &pip_report);
     assert_eq!(
@@ -108,7 +127,7 @@ fn main() {
             super_batch,
         },
     );
-    let (hot_obs, hot_report) = exec.run_epoch(&mut hot, 0);
+    let (hot_obs, hot_report) = pipelined_epoch(&config, &mut hot);
     print_report("hot-aware", &hot_report);
     println!(
         "hotness-aware: max staleness {} (< 2n = {}), {} embedding reuses, ε = {:.4}\n",
@@ -140,7 +159,7 @@ fn main() {
     // behind as the recorded baseline.
     assert!(
         speedup >= 1.3,
-        "pipelined executor must demonstrate ≥ 1.3x epoch throughput (got {speedup:.2}x)"
+        "the pipelined epoch must demonstrate ≥ 1.3x epoch throughput (got {speedup:.2}x)"
     );
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     println!("wrote BENCH_pipeline.json");

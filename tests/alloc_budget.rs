@@ -13,12 +13,14 @@
 #![cfg(feature = "count-allocs")]
 
 use neutronorch::core::engine::{EngineConfig, TrainingEngine};
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::pipeline::{run_serial_epoch, PipelineConfig};
+use neutronorch::core::refresh::RefreshTask;
 use neutronorch::core::replica::{ReplicatedConfig, ReplicatedEngine};
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
+use neutronorch::nn::layers::Layer;
 use neutronorch::nn::LayerKind;
-use neutronorch::tensor::alloc;
+use neutronorch::tensor::alloc::{self, Stage};
 
 /// Hard ceiling on staging (sample + gather + transfer) heap allocations
 /// per warm engine epoch on the tiny workload. The pooled path measures
@@ -57,16 +59,15 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
     );
     let epochs = 4;
 
-    // Sequential "before" numbers: the executor tags stages itself, so the
-    // staging delta is directly comparable with the engine's.
-    let exec = PipelineExecutor::new(PipelineConfig::default());
+    // Sequential "before" numbers: the serial epoch tags stages itself, so
+    // the staging delta is directly comparable with the engine's.
     let mut seq = trainer();
     alloc::reset();
     alloc::set_enabled(true);
     let mut seq_staging = Vec::with_capacity(epochs);
     for epoch in 0..epochs {
         let before = alloc::snapshot();
-        exec.run_epoch_sequential(&mut seq, epoch);
+        run_serial_epoch(&mut seq, epoch, 0.0);
         seq_staging.push(alloc::snapshot().since(&before).staging_allocs());
     }
 
@@ -146,4 +147,32 @@ fn warm_engine_epochs_stay_inside_the_staging_alloc_budget() {
             run.epoch
         );
     }
+
+    // Refresh shard threads start untagged; each shard tags itself, so a
+    // sharded task launched from a refresh-tagged thread books every
+    // allocation under `refresh` and none under `other`.
+    let dataset = eng.dataset_handle();
+    let (feature_dim, hidden_dim) = (dataset.spec.feature_dim, dataset.spec.hidden_dim);
+    let bottom = Layer::new(LayerKind::Gcn, feature_dim, hidden_dim, false, 7);
+    let vertices: Vec<u32> = (0..280).collect();
+    let task = RefreshTask::new(dataset, bottom, eng.sampler().clone(), vertices, 4, 0, 1);
+    let prev_stage = alloc::set_stage(Stage::Refresh);
+    alloc::set_enabled(true);
+    let before = alloc::snapshot();
+    let rows = task.run_sharded(2).rows;
+    let shards = alloc::snapshot().since(&before);
+    alloc::set_enabled(false);
+    alloc::set_stage(prev_stage);
+    assert_eq!(rows.len(), 280);
+    println!(
+        "run_sharded(2): refresh {} allocs, other {} allocs",
+        shards.get(Stage::Refresh).allocs,
+        shards.get(Stage::Other).allocs
+    );
+    assert_eq!(
+        shards.get(Stage::Other).allocs,
+        0,
+        "refresh shard threads leaked allocations into `other`"
+    );
+    assert!(shards.get(Stage::Refresh).allocs > 0);
 }

@@ -7,7 +7,7 @@
 //! in its own integration-test binary — a second concurrent test in the same
 //! process would pollute the counters.
 
-use neutronorch::core::pipeline::{PipelineConfig, PipelineExecutor};
+use neutronorch::core::pipeline::run_serial_epoch;
 use neutronorch::core::trainer::{ConvergenceTrainer, ReusePolicy, TrainerConfig};
 use neutronorch::graph::DatasetSpec;
 use neutronorch::nn::LayerKind;
@@ -29,12 +29,10 @@ fn trainer() -> ConvergenceTrainer {
 
 #[test]
 fn hooks_attribute_kernel_time_within_the_epoch_and_are_free_when_off() {
-    let exec = PipelineExecutor::new(PipelineConfig::default());
-
     // Disabled (the default): an epoch leaves the counters untouched.
     timing::reset();
     let mut t = trainer();
-    let (_, disabled_report) = exec.run_epoch_sequential(&mut t, 0);
+    let (_, disabled_report) = run_serial_epoch(&mut t, 0, 0.0);
     let snap = timing::snapshot();
     assert_eq!(
         snap.total_seconds(),
@@ -43,8 +41,8 @@ fn hooks_attribute_kernel_time_within_the_epoch_and_are_free_when_off() {
     );
     assert!(snap.iter().all(|(_, stat)| stat.calls == 0));
 
-    // Enabled: rerun the same epoch on a fresh trainer. The sequential
-    // executor drives every stage from the calling thread, so the hooked
+    // Enabled: rerun the same epoch on a fresh trainer. The serial epoch
+    // drives every stage from the calling thread, so the hooked
     // wall-time segments are disjoint — their sum can never exceed the
     // epoch wall-clock (small tolerance for clock granularity), and the
     // trajectory itself must not notice the instrumentation.
@@ -52,13 +50,13 @@ fn hooks_attribute_kernel_time_within_the_epoch_and_are_free_when_off() {
     timing::set_enabled(true);
     let mut t = trainer();
     let t0 = Instant::now();
-    let (obs, _) = exec.run_epoch_sequential(&mut t, 0);
+    let (obs, _) = run_serial_epoch(&mut t, 0, 0.0);
     let wall = t0.elapsed().as_secs_f64();
     timing::set_enabled(false);
     let snap = timing::snapshot();
 
     let mut t_ref = trainer();
-    let (obs_ref, _) = exec.run_epoch_sequential(&mut t_ref, 0);
+    let (obs_ref, _) = run_serial_epoch(&mut t_ref, 0, 0.0);
     assert_eq!(
         obs.train_loss, obs_ref.train_loss,
         "enabling the hooks changed the trajectory"
