@@ -436,8 +436,10 @@ impl ConvergenceTrainer {
     /// the split cannot change single-replica numerics.
     pub fn grad_prepared(&mut self, blocks: &[Block], feats: &Matrix) -> f32 {
         let bottom = &blocks[0];
-        // Collect bottom-layer overrides from the HE store.
-        let mut overrides: Vec<(usize, Vec<f32>)> = Vec::new();
+        // Collect bottom-layer overrides from the HE store: the reused rows
+        // in ascending order, their stored embeddings back to back.
+        let mut rows: Vec<usize> = Vec::new();
+        let mut values: Vec<f32> = Vec::new();
         if let Some(store) = &mut self.store {
             for (row, &v) in bottom.dst().iter().enumerate() {
                 let eligible = match (&self.hot, &self.config.policy) {
@@ -452,21 +454,23 @@ impl ConvergenceTrainer {
                     .get(v, self.version)
                     .expect("super-batch refresh keeps every entry within bound")
                 {
-                    overrides.push((row, stored.to_vec()));
+                    rows.push(row);
+                    values.extend_from_slice(stored);
                 }
             }
         }
-        let frozen: Vec<usize> = overrides.iter().map(|(r, _)| *r).collect();
         let pass = self
             .model
-            .forward_with_bottom_override(blocks, feats, &overrides);
+            .forward_with_bottom_override(blocks, feats, &rows, &values);
         // GAS records the embeddings it just computed (for the non-frozen
-        // rows) so later batches can reuse them.
+        // rows) so later batches can reuse them. `rows` is ascending, so one
+        // cursor walk skips the frozen ones.
         if matches!(self.config.policy, ReusePolicy::GasLike) {
             if let Some(store) = &mut self.store {
                 let bottom_out = &pass.outputs[0];
+                let mut frozen = rows.iter().peekable();
                 for (row, &v) in bottom.dst().iter().enumerate() {
-                    if !frozen.contains(&row) {
+                    if frozen.next_if_eq(&&row).is_none() {
                         store.put(v, bottom_out.row(row).to_vec(), self.version);
                     }
                 }
@@ -481,9 +485,8 @@ impl ConvergenceTrainer {
             .collect();
         let lr = cross_entropy(pass.logits(), &labels);
         self.model.zero_grad();
-        let _ = self
-            .model
-            .backward_with_mask(blocks, pass, &lr.d_logits, Some(&frozen));
+        self.model
+            .backward_with_mask(blocks, pass, &lr.d_logits, Some(&rows));
         lr.loss
     }
 

@@ -30,6 +30,12 @@ pub fn layer_forward_flops(
 
 /// FLOPs of one layer's **backward** pass (≈ 2× forward for the dense parts,
 /// plus the scatter of aggregation gradients).
+///
+/// This models the full [`crate::layers::Layer::backward`], `∇input`
+/// included, for every layer. The training model's bottom layer skips
+/// `∇input` ([`crate::layers::Layer::backward_params`]); the simulator and
+/// the benchmark's `nn.flops_per_step` keep the full figure on purpose, so
+/// their numbers stay comparable across versions.
 pub fn layer_backward_flops(
     kind: LayerKind,
     num_dst: u64,

@@ -123,6 +123,15 @@ impl GatLayer {
 
     /// Backward pass; returns `∂L/∂input`.
     pub fn backward(&mut self, block: &Block, ctx: GatCtx, d_out: &Matrix) -> Matrix {
+        let ds = self.backward_params(block, ctx, d_out);
+        // s = input · W.
+        ops::matmul_a_bt(&ds, &self.weight.value)
+    }
+
+    /// Parameter half of [`Self::backward`]: differentiates through the
+    /// edge softmax, accumulates the weight and attention gradients and
+    /// returns `∂L/∂s`, the input of the rest of `backward`.
+    pub fn backward_params(&mut self, block: &Block, ctx: GatCtx, d_out: &Matrix) -> Matrix {
         let dz = self.activation.backward(&ctx.z, d_out);
         let out_dim = self.out_dim();
         let al = self.attn_src.value.row(0).to_vec();
@@ -188,7 +197,7 @@ impl GatLayer {
         }
         // s = input · W.
         ops::add_assign(&mut self.weight.grad, &ops::matmul_at_b(&ctx.input, &ds));
-        ops::matmul_a_bt(&ds, &self.weight.value)
+        ds
     }
 
     /// Parameter views.

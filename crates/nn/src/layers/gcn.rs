@@ -81,9 +81,7 @@ impl GcnLayer {
 
     /// Backward pass; returns `∂L/∂input`.
     pub fn backward(&mut self, block: &Block, ctx: GcnCtx, d_out: &Matrix) -> Matrix {
-        let dz = self.activation.backward(&ctx.z, d_out);
-        ops::add_assign(&mut self.weight.grad, &ops::matmul_at_b(&ctx.agg, &dz));
-        ops::add_assign(&mut self.bias.grad, &ops::sum_rows(&dz));
+        let dz = self.backward_params(ctx, d_out);
         let d_agg = ops::matmul_a_bt(&dz, &self.weight.value);
         // Distribute aggregation gradient back to src rows (scatter-add).
         let t0 = timing::start();
@@ -98,6 +96,15 @@ impl GcnLayer {
         }
         timing::stop(Kernel::Aggregate, t0);
         d_in
+    }
+
+    /// Parameter half of [`Self::backward`]: accumulates the weight and
+    /// bias gradients and returns `∂L/∂z`, the input of the rest of `backward`.
+    pub fn backward_params(&mut self, ctx: GcnCtx, d_out: &Matrix) -> Matrix {
+        let dz = self.activation.backward(&ctx.z, d_out);
+        ops::add_assign(&mut self.weight.grad, &ops::matmul_at_b(&ctx.agg, &dz));
+        ops::add_assign(&mut self.bias.grad, &ops::sum_rows(&dz));
+        dz
     }
 
     /// Parameter views.

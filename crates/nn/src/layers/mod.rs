@@ -1,4 +1,11 @@
 //! GNN layers over sampled blocks.
+//!
+//! Each layer's backward pass has two halves: a parameter half that
+//! accumulates the weight gradients ([`Layer::backward_params`]) and an
+//! input-gradient tail that produces `∂L/∂input`. [`Layer::backward`] runs
+//! both. The bottom layer of a [`crate::GnnModel`] runs only the parameter
+//! half: its input is the raw feature matrix, a constant, so no
+//! `∂L/∂features` is computed.
 
 pub mod gat;
 pub mod gcn;
@@ -96,6 +103,18 @@ impl Layer {
         }
     }
 
+    /// The parameter half of [`Self::backward`]: accumulates the same
+    /// parameter gradients, bit for bit, but skips the input-gradient tail.
+    /// For a layer whose input is a constant (the bottom layer's features).
+    pub fn backward_params(&mut self, block: &Block, ctx: LayerCtx, d_out: &Matrix) {
+        match (self, ctx) {
+            (Layer::Gcn(l), LayerCtx::Gcn(c)) => drop(l.backward_params(c, d_out)),
+            (Layer::Sage(l), LayerCtx::Sage(c)) => drop(l.backward_params(c, d_out)),
+            (Layer::Gat(l), LayerCtx::Gat(c)) => drop(l.backward_params(block, c, d_out)),
+            _ => panic!("layer/ctx kind mismatch"),
+        }
+    }
+
     /// Immutable views of the layer's parameters.
     pub fn params(&self) -> Vec<&Param> {
         match self {
@@ -175,6 +194,25 @@ mod tests {
             let d_in = layer.backward(&block, ctx, &d_out);
             assert_eq!(d_in.shape(), input.shape(), "{kind:?}");
             assert!(d_in.all_finite());
+        }
+    }
+
+    #[test]
+    fn backward_params_leaves_the_same_grads_as_backward() {
+        let block = toy_block();
+        let input = init::uniform(3, 5, -1.0, 1.0, 5);
+        for kind in LayerKind::ALL {
+            let mut full = Layer::new(kind, 5, 4, false, 6);
+            let mut params_only = full.clone();
+            let (out, ctx) = full.forward(&block, &input);
+            let d_out = init::uniform(out.rows(), out.cols(), -1.0, 1.0, 7);
+            let _ = full.backward(&block, ctx, &d_out);
+            let (_, ctx) = params_only.forward(&block, &input);
+            params_only.backward_params(&block, ctx, &d_out);
+            assert!(full.params().iter().any(|p| p.grad.frobenius_norm() > 0.0));
+            for (a, b) in full.params().iter().zip(params_only.params()) {
+                assert_eq!(a.grad, b.grad, "{kind:?}");
+            }
         }
     }
 

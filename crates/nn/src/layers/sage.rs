@@ -85,13 +85,7 @@ impl SageLayer {
 
     /// Backward pass; returns `∂L/∂input`.
     pub fn backward(&mut self, block: &Block, ctx: SageCtx, d_out: &Matrix) -> Matrix {
-        let dz = self.activation.backward(&ctx.z, d_out);
-        ops::add_assign(
-            &mut self.w_self.grad,
-            &ops::matmul_at_b(&ctx.self_rows, &dz),
-        );
-        ops::add_assign(&mut self.w_neigh.grad, &ops::matmul_at_b(&ctx.neigh, &dz));
-        ops::add_assign(&mut self.bias.grad, &ops::sum_rows(&dz));
+        let dz = self.backward_params(ctx, d_out);
         let d_self = ops::matmul_a_bt(&dz, &self.w_self.value);
         let d_neigh = ops::matmul_a_bt(&dz, &self.w_neigh.value);
         let t0 = timing::start();
@@ -110,6 +104,19 @@ impl SageLayer {
         }
         timing::stop(Kernel::Aggregate, t0);
         d_in
+    }
+
+    /// Parameter half of [`Self::backward`]: accumulates the self, neighbor
+    /// and bias gradients and returns `∂L/∂z`, the input of the rest of `backward`.
+    pub fn backward_params(&mut self, ctx: SageCtx, d_out: &Matrix) -> Matrix {
+        let dz = self.activation.backward(&ctx.z, d_out);
+        ops::add_assign(
+            &mut self.w_self.grad,
+            &ops::matmul_at_b(&ctx.self_rows, &dz),
+        );
+        ops::add_assign(&mut self.w_neigh.grad, &ops::matmul_at_b(&ctx.neigh, &dz));
+        ops::add_assign(&mut self.bias.grad, &ops::sum_rows(&dz));
+        dz
     }
 
     /// Parameter views.

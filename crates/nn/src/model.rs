@@ -1,4 +1,8 @@
 //! Multi-layer GNN models over block stacks.
+//!
+//! The backward pass stops at the bottom layer's parameters: the bottom
+//! layer's input is the feature matrix, a constant, so it computes no
+//! `∂L/∂features` ([`crate::layers::Layer::backward_params`]).
 
 use crate::layers::{Layer, LayerCtx, LayerKind};
 use crate::param::Param;
@@ -121,64 +125,62 @@ impl GnnModel {
     /// Full forward over a bottom-first block stack. `features` has one row
     /// per `blocks[0].src()` vertex.
     pub fn forward(&self, blocks: &[Block], features: &Matrix) -> ForwardPass {
-        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
-        let mut outputs = Vec::with_capacity(self.layers.len());
-        let mut ctxs = Vec::with_capacity(self.layers.len());
-        let mut input = features.clone();
-        for (layer, block) in self.layers.iter().zip(blocks) {
-            let (out, ctx) = layer.forward(block, &input);
-            input = out.clone();
-            outputs.push(out);
-            ctxs.push(ctx);
-        }
-        ForwardPass { outputs, ctxs }
+        self.forward_with_bottom_override(blocks, features, &[], &[])
     }
 
-    /// Forward where the bottom layer's output rows listed in
-    /// `override_rows` are replaced by externally supplied embeddings —
-    /// NeutronOrch's historical-embedding splice (§4.1.2). Gradient flow
-    /// through those rows is cut by [`GnnModel::backward_with_mask`].
+    /// Forward where the bottom layer's output rows listed in `rows` are
+    /// replaced by externally supplied embeddings — NeutronOrch's
+    /// historical-embedding splice (§4.1.2). `values` holds the replacement
+    /// rows back to back, one per entry of `rows`. Gradient flow through
+    /// those rows is cut by [`GnnModel::backward_with_mask`].
     pub fn forward_with_bottom_override(
         &self,
         blocks: &[Block],
         features: &Matrix,
-        override_rows: &[(usize, Vec<f32>)],
+        rows: &[usize],
+        values: &[f32],
     ) -> ForwardPass {
-        assert!(!self.layers.is_empty());
-        let (mut out0, ctx0) = self.layers[0].forward(&blocks[0], features);
-        for (row, values) in override_rows {
-            out0.copy_row_from(*row, values);
-        }
-        let mut outputs = vec![out0.clone()];
-        let mut ctxs = vec![ctx0];
-        let mut input = out0;
-        #[allow(clippy::needless_range_loop)] // layers and blocks advance together
-        for l in 1..self.layers.len() {
-            let (out, ctx) = self.layers[l].forward(&blocks[l], &input);
-            input = out.clone();
+        assert_eq!(blocks.len(), self.layers.len(), "one block per layer");
+        let mut outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
+        let mut ctxs = Vec::with_capacity(self.layers.len());
+        for (l, (layer, block)) in self.layers.iter().zip(blocks).enumerate() {
+            let input = outputs.last().unwrap_or(features);
+            let (mut out, ctx) = layer.forward(block, input);
+            if l == 0 {
+                assert_eq!(
+                    values.len(),
+                    rows.len() * out.cols(),
+                    "values must hold one row per entry of rows"
+                );
+                for (&row, v) in rows.iter().zip(values.chunks_exact(out.cols())) {
+                    out.copy_row_from(row, v);
+                }
+            }
             outputs.push(out);
             ctxs.push(ctx);
         }
         ForwardPass { outputs, ctxs }
     }
 
-    /// Full backward from `d_logits`; accumulates parameter gradients and
-    /// returns `∂L/∂features`.
-    pub fn backward(&mut self, blocks: &[Block], pass: ForwardPass, d_logits: &Matrix) -> Matrix {
+    /// Full backward from `d_logits`; accumulates parameter gradients. The
+    /// bottom layer runs only its parameter half: features are constants,
+    /// so no `∂L/∂features` is computed.
+    pub fn backward(&mut self, blocks: &[Block], pass: ForwardPass, d_logits: &Matrix) {
         self.backward_with_mask(blocks, pass, d_logits, None)
     }
 
     /// Backward that optionally zeroes the gradient flowing into the bottom
     /// layer's output rows listed in `frozen_bottom_rows` (historical
     /// embeddings are constants; "using historical embeddings avoids … the
-    /// associated backward pass", §4.1.2).
+    /// associated backward pass", §4.1.2). Like [`Self::backward`], the
+    /// bottom layer computes parameter gradients only.
     pub fn backward_with_mask(
         &mut self,
         blocks: &[Block],
         pass: ForwardPass,
         d_logits: &Matrix,
         frozen_bottom_rows: Option<&[usize]>,
-    ) -> Matrix {
+    ) {
         let mut grad = d_logits.clone();
         let mut ctxs = pass.ctxs;
         for l in (1..self.layers.len()).rev() {
@@ -191,7 +193,7 @@ impl GnnModel {
             }
         }
         let ctx0 = ctxs.pop().expect("bottom ctx");
-        self.layers[0].backward(&blocks[0], ctx0, &grad)
+        self.layers[0].backward_params(&blocks[0], ctx0, &grad);
     }
 
     /// Zeroes all parameter gradients.
@@ -304,11 +306,17 @@ mod tests {
             let pass = model.forward(&blocks, &features);
             let d = Matrix::full(5, 3, 0.1);
             model.zero_grad();
-            let d_feat = model.backward(&blocks, pass, &d);
-            assert_eq!(d_feat.shape(), features.shape());
+            model.backward(&blocks, pass, &d);
             for p in model.params() {
                 assert!(p.grad.all_finite());
             }
+            // The model computes no ∂L/∂features; the bottom layer's own
+            // backward still returns one, shaped like the features.
+            let bottom = model.layer_mut(0);
+            let (out, ctx) = bottom.forward(&blocks[0], &features);
+            let d_feat =
+                bottom.backward(&blocks[0], ctx, &Matrix::full(out.rows(), out.cols(), 0.1));
+            assert_eq!(d_feat.shape(), features.shape());
         }
     }
 
@@ -317,22 +325,27 @@ mod tests {
         let (blocks, features, mut model) = sampled_setup(LayerKind::Gcn);
         let hidden = model.layers()[0].out_dim();
         let stale = vec![0.5f32; hidden];
-        let pass = model.forward_with_bottom_override(&blocks, &features, &[(0, stale.clone())]);
+        let pass = model.forward_with_bottom_override(&blocks, &features, &[0], &stale);
         assert_eq!(pass.outputs[0].row(0), &stale[..]);
         // With every bottom row frozen, the bottom weight grad from the
         // aggregation path must be zero.
-        let pass2 = model.forward_with_bottom_override(&blocks, &features, &[]);
+        let pass2 = model.forward_with_bottom_override(&blocks, &features, &[], &[]);
         model.zero_grad();
         let all_rows: Vec<usize> = (0..pass2.outputs[0].rows()).collect();
         let d = Matrix::full(5, 3, 0.3);
-        let d_feat = model.backward_with_mask(&blocks, pass2, &d, Some(&all_rows));
+        model.backward_with_mask(&blocks, pass2, &d, Some(&all_rows));
+        let bottom_grad_norm = model.layers()[0].params()[0].grad.frobenius_norm();
+        assert_eq!(bottom_grad_norm, 0.0, "bottom layer grads must be cut");
+        // Every frozen row leaves the bottom layer a zero upstream gradient,
+        // and a zero upstream gradient gives a zero input gradient.
+        let bottom = model.layer_mut(0);
+        let (out, ctx) = bottom.forward(&blocks[0], &features);
+        let d_feat = bottom.backward(&blocks[0], ctx, &Matrix::zeros(out.rows(), out.cols()));
         assert_eq!(
             d_feat.frobenius_norm(),
             0.0,
             "no gradient may reach features"
         );
-        let bottom_grad_norm = model.layers()[0].params()[0].grad.frobenius_norm();
-        assert_eq!(bottom_grad_norm, 0.0, "bottom layer grads must be cut");
     }
 
     #[test]
